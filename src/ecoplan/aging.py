@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import ValidationError
+from .model import ValidationError, _require_finite
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,10 @@ class FabricRegion:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("region id must be non-empty")
-        if not math.isfinite(float(self.capacity)) or self.capacity <= 0:
+        if _require_finite(self.capacity, f"region {self.id!r} capacity") <= 0:
             raise ValidationError(f"region {self.id!r} capacity must be > 0")
-        if not 0.0 < self.health_factor <= 1.0:
+        health = _require_finite(self.health_factor, f"region {self.id!r} health_factor")
+        if not 0.0 < health <= 1.0:
             raise ValidationError(f"region {self.id!r} health_factor must lie in (0, 1]")
 
 
@@ -79,7 +80,7 @@ class LogicBlock:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("block id must be non-empty")
-        if not math.isfinite(float(self.size)) or self.size <= 0:
+        if _require_finite(self.size, f"block {self.id!r} size") <= 0:
             raise ValidationError(f"block {self.id!r} size must be > 0")
         if not self.region:
             raise ValidationError(f"block {self.id!r} must name its current region")

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import ValidationError
+from .model import ValidationError, _require_count, _require_finite
 
 HOURS_PER_YEAR = 8760.0
 
@@ -56,29 +56,18 @@ class CarbonParams:
     prototype: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vol, int) or isinstance(self.n_vol, bool):
-            raise ValidationError(f"n_vol must be an integer, got {self.n_vol!r}")
-        if self.n_vol < 0 or (self.n_vol == 0 and not self.prototype):
-            raise ValidationError(
-                f"n_vol must be >= 1 (or 0 with prototype=True), got {self.n_vol}"
-            )
-        if not isinstance(self.cpu_cores, int) or isinstance(self.cpu_cores, bool):
-            raise ValidationError(f"cpu_cores must be an integer, got {self.cpu_cores!r}")
-        if self.cpu_cores < 1:
+        n_vol = _require_count(self.n_vol, "n_vol")
+        if n_vol < 0 or (n_vol == 0 and not self.prototype):
+            raise ValidationError(f"n_vol must be >= 1 (or 0 with prototype=True), got {n_vol}")
+        if _require_count(self.cpu_cores, "cpu_cores") < 1:
             raise ValidationError(f"cpu_cores must be >= 1, got {self.cpu_cores}")
         for fname in ("lifetime_hours", "grid_intensity", "e_use_per_hour_kwh",
                       "cpu_power_per_core_w"):
-            value = getattr(self, fname)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{fname} must be a number, got {value!r}")
-            if not math.isfinite(float(value)) or value <= 0:
-                raise ValidationError(f"{fname} must be > 0, got {value}")
+            if _require_finite(getattr(self, fname), fname) <= 0:
+                raise ValidationError(f"{fname} must be > 0, got {getattr(self, fname)}")
         for fname in ("rtl_synth_hours", "hls_synth_hours", "config_hours"):
-            value = getattr(self, fname)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{fname} must be a number, got {value!r}")
-            if not math.isfinite(float(value)) or value < 0:
-                raise ValidationError(f"{fname} must be >= 0, got {value}")
+            if _require_finite(getattr(self, fname), fname) < 0:
+                raise ValidationError(f"{fname} must be >= 0, got {getattr(self, fname)}")
 
 
 class Scenario(NamedTuple):
@@ -116,7 +105,6 @@ class CarbonReport:
     design_id: str
     platform: str
     cells: Mapping[Scenario, float]
-    reduction_vs_fpga: float | None = None
 
 
 @dataclass(frozen=True)

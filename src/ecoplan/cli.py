@@ -12,9 +12,8 @@ On any error the output directory is left without new files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -22,11 +21,12 @@ from . import aging as aging_mod
 from . import carbon as carbon_mod
 from . import report as report_mod
 from .model import (
-    Dataset,
+    PLATFORMS,
     DatasetError,
-    ParseError,
     ScoreWeights,
     ValidationError,
+    _check_keys,
+    _read_json_object,
     load_dataset,
     weights_from_dict,
 )
@@ -65,10 +65,10 @@ _CARBON_BASE_KEYS = (
     "hls_synth_hours",
     "config_hours",
 )
+_SWEEP_KEYS = ("lifetimes_years", "volumes", "fixed_lifetime_for_volume_sweep_years")
 _AGING_KEYS = ("curves", "temperature_c", "regions", "blocks")
 _REGION_KEYS = ("id", "capacity", "health_factor")
 _BLOCK_KEYS = ("id", "size", "region")
-_PLATFORM_LABELS = ("asic", "fpga", "ecologic")
 
 
 @dataclass(frozen=True)
@@ -88,49 +88,28 @@ class RunConfig:
     aging: Mapping[str, Any] | None
 
 
-def _reject_unknown(raw: Mapping[str, Any], allowed: Sequence[str], where: str) -> None:
-    if not isinstance(raw, Mapping):
-        raise ValidationError(f"{where}: must be a JSON object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
-
-
 def load_config(path: str | Path) -> RunConfig:
-    config_path = Path(path)
-    text = config_path.read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config top level must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, str(path))
+    raw = _read_json_object(path, _TOP_KEYS, ("dataset", "weights"))
     version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValidationError(f"{path}: unknown config schema_version {version!r}")
-    if "dataset" not in raw or "weights" not in raw:
-        raise ValidationError(f"{path}: config requires 'dataset' and 'weights'")
 
-    base_dir = config_path.parent
+    base_dir = Path(path).parent
 
     def resolve(p: str) -> Path:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base_dir / candidate
 
     budget_raw = raw.get("fabric_budget")
-    capacity = None
     if budget_raw is not None:
-        _reject_unknown(budget_raw, ("capacity",), f"{path}: fabric_budget")
-        capacity = budget_raw.get("capacity")
+        _check_keys(budget_raw, ("capacity",), f"{path}: fabric_budget")
     carbon_raw = raw.get("carbon")
     if carbon_raw is not None:
-        _reject_unknown(carbon_raw, _CARBON_KEYS, f"{path}: carbon")
+        _check_keys(carbon_raw, _CARBON_KEYS, f"{path}: carbon")
     aging_raw = raw.get("aging")
     if aging_raw is not None:
-        _reject_unknown(aging_raw, _AGING_KEYS, f"{path}: aging")
-    compare_raw = raw.get("compare", {})
-    _reject_unknown(compare_raw, ("ours", "baseline"), f"{path}: compare")
+        _check_keys(aging_raw, _AGING_KEYS, f"{path}: aging")
+    compare_raw = _check_keys(raw.get("compare", {}), ("ours", "baseline"), f"{path}: compare")
 
     formats = report_mod.check_formats(tuple(raw.get("formats", report_mod.FORMATS)))
     return RunConfig(
@@ -139,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
         normalize_piracy=bool(raw.get("normalize_piracy", False)),
         output_dir=resolve(raw.get("output_dir", "out")),
         formats=formats,
-        fabric_capacity=capacity,
+        fabric_capacity=None if budget_raw is None else budget_raw.get("capacity"),
         partition_method=raw.get("partition_method", "greedy"),
         carbon=carbon_raw,
         compare=compare_raw,
@@ -147,12 +126,8 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _load_inputs(config: RunConfig) -> Dataset:
-    return load_dataset(config.dataset_path)
-
-
 def cmd_score(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
-    dataset = _load_inputs(config)
+    dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     return report_mod.score_report_files(cards, formats)
 
@@ -160,7 +135,7 @@ def cmd_score(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
 def cmd_partition(
     config: RunConfig, formats: Sequence[str], method: str | None, capacity: float | None
 ) -> dict[str, str]:
-    dataset = _load_inputs(config)
+    dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     effective_capacity = capacity if capacity is not None else config.fabric_capacity
     if effective_capacity is None:
@@ -177,40 +152,34 @@ def cmd_partition(
     return report_mod.partition_report_files(plan, budget, formats)
 
 
-def _carbon_pipeline(
-    config: RunConfig,
-) -> tuple[list[carbon_mod.CarbonReport], dict[str, carbon_mod.CarbonComparison], float | None, list[str]]:
+def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     if config.carbon is None:
         raise ValidationError("config has no 'carbon' section")
-    section = config.carbon
-    for key in ("base", "anchors", "sweep"):
-        if key not in section:
-            raise ValidationError(f"carbon config requires '{key}'")
-    base_raw = dict(section["base"])
-    _reject_unknown(base_raw, _CARBON_BASE_KEYS, "carbon base")
+    section = _check_keys(
+        config.carbon, _CARBON_KEYS, "carbon config", ("base", "anchors", "sweep")
+    )
+    base_raw = _check_keys(section["base"], _CARBON_BASE_KEYS, "carbon base")
     anchor_years = float(section.get("anchor_lifetime_years", 1.0))
-    sweep_raw = dict(section["sweep"])
+    sweep_raw = _check_keys(section["sweep"], _SWEEP_KEYS, "carbon sweep")
     spec = carbon_mod.SweepSpec(
-        lifetimes_years=tuple(float(y) for y in sweep_raw.pop("lifetimes_years", ())),
-        volumes=tuple(int(v) for v in sweep_raw.pop("volumes", ())),
+        lifetimes_years=tuple(float(y) for y in sweep_raw.get("lifetimes_years", ())),
+        volumes=tuple(int(v) for v in sweep_raw.get("volumes", ())),
         fixed_lifetime_for_volume_sweep_years=float(
-            sweep_raw.pop("fixed_lifetime_for_volume_sweep_years", 0.0)
+            sweep_raw.get("fixed_lifetime_for_volume_sweep_years", 0.0)
         ),
     )
-    if sweep_raw:
-        raise ValidationError(f"carbon sweep: unknown key(s): {', '.join(sorted(sweep_raw))}")
 
     anchors = section["anchors"]
     if not isinstance(anchors, dict) or not anchors:
         raise ValidationError("carbon anchors must map design -> platform -> kg")
 
     reports: list[carbon_mod.CarbonReport] = []
-    by_design: dict[str, dict[str, carbon_mod.CarbonReport]] = {}
+    comparisons: dict[str, carbon_mod.CarbonComparison] = {}
     for design_id in sorted(anchors):
-        by_design[design_id] = {}
+        platform_reports: dict[str, carbon_mod.CarbonReport] = {}
         platform_anchors = anchors[design_id]
         for platform in sorted(platform_anchors):
-            if platform not in _PLATFORM_LABELS:
+            if platform not in PLATFORMS:
                 raise ValidationError(
                     f"carbon anchors: unknown platform {platform!r} for design {design_id!r}"
                 )
@@ -221,21 +190,12 @@ def _carbon_pipeline(
                 **base_raw,
             )
             calibrated = carbon_mod.calibrated_params(anchor_kg, base)
-            rpt = carbon_mod.sweep(spec, calibrated, design_id=design_id, platform=platform)
-            by_design[design_id][platform] = rpt
-
-    comparisons: dict[str, carbon_mod.CarbonComparison] = {}
-    for design_id, platform_reports in by_design.items():
+            platform_reports[platform] = carbon_mod.sweep(spec, calibrated, design_id, platform)
+        reports.extend(platform_reports.values())
         if "ecologic" in platform_reports and "fpga" in platform_reports:
-            cmp_result = carbon_mod.compare(
+            comparisons[design_id] = carbon_mod.compare(
                 platform_reports["ecologic"], platform_reports["fpga"]
             )
-            comparisons[design_id] = cmp_result
-            platform_reports["ecologic"] = replace(
-                platform_reports["ecologic"], reduction_vs_fpga=cmp_result.mean_reduction
-            )
-        for platform in sorted(platform_reports):
-            reports.append(platform_reports[platform])
 
     reduction_designs = list(section.get("reduction_designs", sorted(comparisons)))
     scenario_raw = section.get("reduction_scenario", {"kind": "lifetime_years", "value": 1.0})
@@ -243,21 +203,14 @@ def _carbon_pipeline(
     mean_reduction = None
     if comparisons and reduction_designs:
         mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
-    return reports, comparisons, mean_reduction, reduction_designs
-
-
-def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
-    reports, comparisons, mean_reduction, reduction_designs = _carbon_pipeline(config)
     return report_mod.carbon_report_files(
         reports, comparisons, mean_reduction, reduction_designs, formats
     )
 
 
 def cmd_compare(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
-    dataset = _load_inputs(config)
-    ours = config.compare.get("ours", "ecologic")
-    baseline = config.compare.get("baseline", "fpga")
-    comparison = report_mod.platform_comparison(dataset, ours=ours, baseline=baseline)
+    dataset = load_dataset(config.dataset_path)
+    comparison = report_mod.platform_comparison(dataset, **config.compare)
     return report_mod.compare_report_files(comparison, formats)
 
 
@@ -284,12 +237,10 @@ def cmd_aging(
     regions_raw = section.get("regions")
     blocks_raw = section.get("blocks")
     if regions_raw and blocks_raw:
-        for entry in regions_raw:
-            _reject_unknown(entry, _REGION_KEYS, "aging region")
-        for entry in blocks_raw:
-            _reject_unknown(entry, _BLOCK_KEYS, "aging block")
-        regions = [aging_mod.FabricRegion(**entry) for entry in regions_raw]
-        blocks = [aging_mod.LogicBlock(**entry) for entry in blocks_raw]
+        regions = [aging_mod.FabricRegion(**_check_keys(entry, _REGION_KEYS, "aging region"))
+                   for entry in regions_raw]
+        blocks = [aging_mod.LogicBlock(**_check_keys(entry, _BLOCK_KEYS, "aging block"))
+                  for entry in blocks_raw]
         base_curve = next(
             (c for c in curves if c.platform == "ecologic"), curves[0]
         )

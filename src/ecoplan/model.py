@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 SCHEMA_VERSION = "1"
 AREA_UNITS = ("um2", "gate_eq")
@@ -53,6 +53,32 @@ def _require_count(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _check_keys(
+    raw: Any, allowed: Sequence[str], where: str, required: Sequence[str] = ()
+) -> Mapping[str, Any]:
+    """Require a JSON object with only ``allowed`` keys and every ``required`` one."""
+    if not isinstance(raw, Mapping):
+        raise ValidationError(f"{where}: must be a JSON object")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ValidationError(f"{where}: missing key(s): {', '.join(missing)}")
+    return raw
+
+
+def _read_json_object(
+    path: str | Path, allowed: Sequence[str], required: Sequence[str] = ()
+) -> Mapping[str, Any]:
+    """Parse a UTF-8 JSON file that must hold an object with known keys."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    return _check_keys(raw, allowed, str(path), required)
 
 
 @dataclass(frozen=True)
@@ -237,15 +263,8 @@ _TOP_LEVEL_KEYS = ("schema_version", "area_unit", "ips")
 
 def _ip_from_dict(raw: Any, index: int) -> IpProfile:
     label = raw.get("id", f"#{index}") if isinstance(raw, dict) else f"#{index}"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"IP entry {label} must be an object")
-    unknown = set(raw) - set(_IP_REQUIRED) - set(_IP_OPTIONAL)
-    if unknown:
-        raise ValidationError(f"IP {label!r} has unknown field(s): {', '.join(sorted(unknown))}")
-    missing = [k for k in _IP_REQUIRED if k not in raw]
-    if missing:
-        raise ValidationError(f"IP {label!r} is missing field(s): {', '.join(missing)}")
-    return IpProfile(**raw)
+    fields = _check_keys(raw, _IP_REQUIRED + _IP_OPTIONAL, f"IP {label!r}", _IP_REQUIRED)
+    return IpProfile(**fields)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -255,19 +274,7 @@ def load_dataset(path: str | Path) -> Dataset:
     schema_version, ValidationError for any invariant violation (the message
     names the IP and field), and OSError if the file cannot be read.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
-    unknown = set(raw) - set(_TOP_LEVEL_KEYS)
-    if unknown:
-        raise ValidationError(f"{path}: unknown top-level key(s): {', '.join(sorted(unknown))}")
-    missing = [k for k in _TOP_LEVEL_KEYS if k not in raw]
-    if missing:
-        raise ValidationError(f"{path}: missing top-level key(s): {', '.join(missing)}")
+    raw = _read_json_object(path, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS)
     version = raw["schema_version"]
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -304,13 +311,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def weights_from_dict(raw: Mapping[str, Any]) -> ScoreWeights:
     """Build and validate ScoreWeights from a mapping with the seven keys."""
-    if not isinstance(raw, Mapping):
-        raise ValidationError("weights: must be a JSON object with the seven weight keys")
     expected = ("alpha", "beta", "gamma", "delta", "mu", "nu", "xi")
-    unknown = set(raw) - set(expected)
-    if unknown:
-        raise ValidationError(f"weights: unknown key(s): {', '.join(sorted(unknown))}")
-    missing = [k for k in expected if k not in raw]
-    if missing:
-        raise ValidationError(f"weights: missing key(s): {', '.join(missing)}")
+    _check_keys(raw, expected, "weights", expected)
     return validate_weights(ScoreWeights(**{k: raw[k] for k in expected}))

@@ -15,13 +15,12 @@ approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, ValidationError
-from .scoring import ScoreCard
+from .model import Dataset, ValidationError, _require_finite
+from .scoring import ScoreCard, rank_cards
 
 EXACT_SIZE_LIMIT = 20
 
@@ -33,9 +32,7 @@ class FabricBudget:
     capacity: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.capacity, (int, float)) or isinstance(self.capacity, bool):
-            raise ValidationError(f"budget error: capacity must be a number, got {self.capacity!r}")
-        if not isfinite(float(self.capacity)) or self.capacity <= 0:
+        if _require_finite(self.capacity, "budget error: capacity") <= 0:
             raise ValidationError(f"budget error: capacity must be > 0, got {self.capacity}")
 
 
@@ -94,13 +91,11 @@ def plan_greedy(
 ) -> PartitionPlan:
     """Admit IPs to the fabric in rank order while they fit.
 
-    Rank order is composite descending with ties broken by smaller area then
-    id, matching the scoring module's ordering, so the plan is deterministic.
+    Rank order is :func:`ecoplan.scoring.rank_cards`, so the plan is deterministic.
     """
     ordered_cards = _align(cards, dataset)
-    area_of = {ip.id: ip.area for ip in dataset.ips}
     score_by_id = {c.ip_id: c.composite for c in ordered_cards}
-    ranked = sorted(ordered_cards, key=lambda c: (-c.composite, area_of[c.ip_id], c.ip_id))
+    ranked = rank_cards(ordered_cards, {ip.id: ip.area for ip in dataset.ips})
 
     chosen: set[str] = set()
     for card in ranked:

@@ -1,6 +1,10 @@
 """Report rendering and emission: JSON, CSV, and markdown, plus the
 cross-platform metric comparison.
 
+Each ``*_report_files`` function only declares its report: a file stem, the
+JSON payload, one CSV table, and the markdown parts in order (tables and
+literal text). The single renderer ``_render`` writes each requested format.
+
 Report files are deterministic: keys are sorted, row order is fixed by the
 pipeline, no timestamps are embedded, and every floating-point value is
 printed with 4 significant digits (internal math stays full precision).
@@ -21,12 +25,15 @@ from typing import Any, Mapping, Sequence
 
 from .aging import RemapPlan, SlackCurve
 from .carbon import CarbonComparison, CarbonReport, Scenario
-from .model import Dataset, ValidationError
+from .model import PLATFORMS, Dataset, ValidationError
 from .partition import FabricBudget, PartitionPlan
 from .scoring import ScoreCard
 
 FORMATS = ("json", "csv", "markdown")
 _EXTENSIONS = {"json": "json", "csv": "csv", "markdown": "md"}
+
+# (headers, rows); a markdown part is either a table or literal text
+_Table = tuple[Sequence[str], Sequence[Sequence[Any]]]
 
 
 def round4(value: float) -> float:
@@ -92,6 +99,20 @@ def output_name(stem: str, format_name: str) -> str:
     return f"{stem}.{_EXTENSIONS[format_name]}"
 
 
+def _render(
+    stem: str, formats: Sequence[str], payload: Any, table: _Table, markdown: list[_Table | str]
+) -> dict[str, str]:
+    """Render one declared report: a file per requested format, in FORMATS order."""
+    renderers = {
+        "json": lambda: render_json(payload),
+        "csv": lambda: render_csv(*table),
+        "markdown": lambda: "".join(
+            part if isinstance(part, str) else render_markdown_table(*part) for part in markdown
+        ),
+    }
+    return {output_name(stem, f): renderers[f]() for f in FORMATS if f in formats}
+
+
 def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
     """Atomically materialize the rendered files in ``out_dir``.
 
@@ -146,18 +167,9 @@ def score_rows(cards: Sequence[ScoreCard]) -> list[list[Any]]:
 
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
     rows = score_rows(cards)
-    files: dict[str, str] = {}
-    if "json" in formats:
-        payload = {"report": "score", "cards": [dict(zip(_SCORE_HEADERS, row)) for row in rows]}
-        files[output_name("score", "json")] = render_json(payload)
-    if "csv" in formats:
-        files[output_name("score", "csv")] = render_csv(_SCORE_HEADERS, rows)
-    if "markdown" in formats:
-        table_rows = [row[1:8] for row in rows]
-        files[output_name("score", "markdown")] = render_markdown_table(
-            _SCORE_HEADERS[1:8], table_rows
-        )
-    return files
+    payload = {"report": "score", "cards": [dict(zip(_SCORE_HEADERS, row)) for row in rows]}
+    markdown = [(_SCORE_HEADERS[1:8], [row[1:8] for row in rows])]
+    return _render("score", formats, payload, (_SCORE_HEADERS, rows), markdown)
 
 
 # --- partition report --------------------------------------------------------
@@ -177,20 +189,12 @@ def partition_report_files(
     }
     rows = [["efpga", ip_id] for ip_id in sorted(plan.efpga_ips)]
     rows += [["asic", ip_id] for ip_id in sorted(plan.asic_ips)]
-    files: dict[str, str] = {}
-    if "json" in formats:
-        files[output_name("partition", "json")] = render_json(summary)
-    if "csv" in formats:
-        files[output_name("partition", "csv")] = render_csv(("placement", "design"), rows)
-    if "markdown" in formats:
-        header = (
-            f"method: {plan.method}, capacity: {fmt(float(budget.capacity))}, "
-            f"used: {fmt(plan.used_area)}, total score: {fmt(plan.total_score)}\n\n"
-        )
-        files[output_name("partition", "markdown")] = header + render_markdown_table(
-            ("placement", "design"), rows
-        )
-    return files
+    table = (("placement", "design"), rows)
+    header = (
+        f"method: {plan.method}, capacity: {fmt(float(budget.capacity))}, "
+        f"used: {fmt(plan.used_area)}, total score: {fmt(plan.total_score)}\n\n"
+    )
+    return _render("partition", formats, summary, table, [header, table])
 
 
 # --- carbon report -----------------------------------------------------------
@@ -229,34 +233,21 @@ def carbon_report_files(
     reduction_rows = [
         [design_id, comparisons[design_id].mean_reduction] for design_id in sorted(comparisons)
     ]
-    files: dict[str, str] = {}
-    if "json" in formats:
-        payload = {
-            "report": "carbon",
-            "cells": [dict(zip(_CARBON_HEADERS, row)) for row in rows],
-            "reductions_vs_fpga": {
-                design_id: comparisons[design_id].mean_reduction
-                for design_id in sorted(comparisons)
-            },
-            "mean_reduction": mean_reduction,
-            "mean_reduction_designs": list(reduction_designs),
-        }
-        files[output_name("carbon", "json")] = render_json(payload)
-    if "csv" in formats:
-        files[output_name("carbon", "csv")] = render_csv(_CARBON_HEADERS, rows)
-    if "markdown" in formats:
-        text = render_markdown_table(_CARBON_HEADERS, rows)
-        if reduction_rows:
-            text += "\n" + render_markdown_table(
-                ("design", "mean_reduction_vs_fpga"), reduction_rows
-            )
-        if mean_reduction is not None:
-            text += (
-                f"\nmean reduction over {', '.join(reduction_designs)}: "
-                f"{fmt(mean_reduction)}\n"
-            )
-        files[output_name("carbon", "markdown")] = text
-    return files
+    payload = {
+        "report": "carbon",
+        "cells": [dict(zip(_CARBON_HEADERS, row)) for row in rows],
+        "reductions_vs_fpga": dict(reduction_rows),
+        "mean_reduction": mean_reduction,
+        "mean_reduction_designs": list(reduction_designs),
+    }
+    markdown: list[_Table | str] = [(_CARBON_HEADERS, rows)]
+    if reduction_rows:
+        markdown += ["\n", (("design", "mean_reduction_vs_fpga"), reduction_rows)]
+    if mean_reduction is not None:
+        markdown.append(
+            f"\nmean reduction over {', '.join(reduction_designs)}: {fmt(mean_reduction)}\n"
+        )
+    return _render("carbon", formats, payload, (_CARBON_HEADERS, rows), markdown)
 
 
 # --- platform comparison -----------------------------------------------------
@@ -302,7 +293,7 @@ def platform_comparison(
 ) -> PlatformComparison:
     """Compare two platforms across power, frequency, slack, and area."""
     for platform in (ours, baseline):
-        if platform not in ("asic", "fpga", "ecologic"):
+        if platform not in PLATFORMS:
             raise ValidationError(f"unknown platform {platform!r}")
     if ours == baseline:
         raise ValidationError("platforms to compare must differ")
@@ -341,21 +332,16 @@ def compare_report_files(
     )
     series_headers = ("metric", "series", "x", "y")
     series_rows = [list(row) for row in comparison.series]
-    files: dict[str, str] = {}
-    if "json" in formats:
-        payload = {
-            "report": "compare",
-            "ours": comparison.ours,
-            "baseline": comparison.baseline,
-            "aggregates": {k: dict(v) for k, v in comparison.aggregates.items()},
-            "series": [dict(zip(series_headers, row)) for row in series_rows],
-        }
-        files[output_name("compare", "json")] = render_json(payload)
-    if "csv" in formats:
-        files[output_name("compare", "csv")] = render_csv(series_headers, series_rows)
-    if "markdown" in formats:
-        files[output_name("compare", "markdown")] = render_markdown_table(agg_headers, agg_rows)
-    return files
+    payload = {
+        "report": "compare",
+        "ours": comparison.ours,
+        "baseline": comparison.baseline,
+        "aggregates": {k: dict(v) for k, v in comparison.aggregates.items()},
+        "series": [dict(zip(series_headers, row)) for row in series_rows],
+    }
+    return _render(
+        "compare", formats, payload, (series_headers, series_rows), [(agg_headers, agg_rows)]
+    )
 
 
 # --- aging report --------------------------------------------------------------
@@ -368,40 +354,22 @@ def aging_report_files(
     plan: RemapPlan | None,
     formats: Sequence[str],
 ) -> dict[str, str]:
-    slack_rows = [
-        [platform, temperature_c, slacks_at_temp[platform]] for platform in sorted(slacks_at_temp)
-    ]
-    remap_rows = (
-        [[block, region] for block, region in sorted(plan.assignment.items())] if plan else []
-    )
-    files: dict[str, str] = {}
-    if "json" in formats:
-        payload: dict[str, Any] = {
-            "report": "aging",
-            "temperature_c": temperature_c,
-            "slack_ns": dict(slacks_at_temp),
-            "curves": {
-                curve.platform: [list(point) for point in curve.points] for curve in curves
-            },
+    slack_rows = [[p, temperature_c, slacks_at_temp[p]] for p in sorted(slacks_at_temp)]
+    slack_table = (("platform", "temperature_c", "slack_ns"), slack_rows)
+    payload: dict[str, Any] = {
+        "report": "aging",
+        "temperature_c": temperature_c,
+        "slack_ns": dict(slacks_at_temp),
+        "curves": {curve.platform: [list(point) for point in curve.points] for curve in curves},
+    }
+    markdown: list[_Table | str] = [slack_table]
+    if plan is not None:
+        payload["remap"] = {
+            "assignment": dict(plan.assignment),
+            "min_slack_before": plan.min_slack_before,
+            "min_slack_after": plan.min_slack_after,
         }
-        if plan is not None:
-            payload["remap"] = {
-                "assignment": dict(plan.assignment),
-                "min_slack_before": plan.min_slack_before,
-                "min_slack_after": plan.min_slack_after,
-            }
-        files[output_name("aging", "json")] = render_json(payload)
-    if "csv" in formats:
-        files[output_name("aging", "csv")] = render_csv(
-            ("platform", "temperature_c", "slack_ns"), slack_rows
-        )
-    if "markdown" in formats:
-        text = render_markdown_table(("platform", "temperature_c", "slack_ns"), slack_rows)
-        if plan is not None:
-            text += "\n" + render_markdown_table(("block", "region"), remap_rows)
-            text += (
-                f"\nmin slack before: {fmt(plan.min_slack_before)} ns, "
-                f"after: {fmt(plan.min_slack_after)} ns\n"
-            )
-        files[output_name("aging", "markdown")] = text
-    return files
+        markdown += ["\n", (("block", "region"), sorted(plan.assignment.items()))]
+        markdown.append(f"\nmin slack before: {fmt(plan.min_slack_before)} ns, "
+                        f"after: {fmt(plan.min_slack_after)} ns\n")
+    return _render("aging", formats, payload, slack_table, markdown)

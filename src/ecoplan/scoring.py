@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import Dataset, ScoreWeights, validate_weights
 
@@ -164,14 +164,19 @@ def normalize_composites(values: Sequence[float]) -> list[float]:
     return [v / top for v in values]
 
 
+def rank_cards(cards: Iterable[ScoreCard], area_of: Mapping[str, float]) -> list[ScoreCard]:
+    """Cards best-first: composite descending, then smaller area, then id."""
+    return sorted(cards, key=lambda c: (-c.composite, area_of[c.ip_id], c.ip_id))
+
+
 def score_dataset(
     dataset: Dataset, weights: ScoreWeights, *, normalize_piracy: bool = False
 ) -> list[ScoreCard]:
     """Score every IP and return cards ranked best-first.
 
     Dataset-wide quantities (max churn, min/max area) are taken over the
-    given dataset. Ranking sorts by composite descending, breaking ties by
-    smaller area and then by id, so output order is deterministic.
+    given dataset. Cards are ranked by :func:`rank_cards`, so output order is
+    deterministic.
 
     ``normalize_piracy`` additionally divides the piracy-threat column by its
     maximum before the composite step. This mirrors score tables that report
@@ -226,9 +231,7 @@ def score_dataset(
         )
         for row, comp, norm in zip(rows, composites, normalized)
     ]
-    area_of = {ip.id: ip.area for ip in dataset.ips}
-    cards.sort(key=lambda c: (-c.composite, area_of[c.ip_id], c.ip_id))
-    return cards
+    return rank_cards(cards, {ip.id: ip.area for ip in dataset.ips})
 
 
 def score_from_subscores(

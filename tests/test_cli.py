@@ -256,6 +256,24 @@ class TestConfigStrictness:
         assert run_cli("aging", "--config", config, "--out", tmp_path / "o") == 1
         assert "helth_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, field, value, owner",
+        [
+            ("regions", "capacity", "600", "region 'r0'"),
+            ("regions", "health_factor", "1.0", "region 'r0'"),
+            ("blocks", "size", "300", "block 'crypto'"),
+        ],
+        ids=["region-capacity", "region-health_factor", "block-size"],
+    )
+    def test_string_typed_aging_number_is_validation_error(
+        self, write_config, tmp_path, capsys, section, field, value, owner
+    ):
+        config = write_config(lambda raw: raw["aging"][section][0].update({field: value}))
+        out = tmp_path / "o"
+        assert run_cli("aging", "--config", config, "--out", out) == 1
+        assert f"{owner} {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_typo_is_validation_error(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw["carbon"]["sweep"].update(volums=[1]))
         assert run_cli("carbon", "--config", config, "--out", tmp_path / "o") == 1

@@ -27,6 +27,7 @@ from .model import (
     ValidationError,
     _check_keys,
     _read_json_object,
+    _require_finite,
     load_dataset,
     weights_from_dict,
 )
@@ -100,15 +101,10 @@ def load_config(path: str | Path) -> RunConfig:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base_dir / candidate
 
-    budget_raw = raw.get("fabric_budget")
-    if budget_raw is not None:
-        _check_keys(budget_raw, ("capacity",), f"{path}: fabric_budget")
-    carbon_raw = raw.get("carbon")
-    if carbon_raw is not None:
-        _check_keys(carbon_raw, _CARBON_KEYS, f"{path}: carbon")
-    aging_raw = raw.get("aging")
-    if aging_raw is not None:
-        _check_keys(aging_raw, _AGING_KEYS, f"{path}: aging")
+    for key, allowed in (("fabric_budget", ("capacity",)), ("carbon", _CARBON_KEYS),
+                         ("aging", _AGING_KEYS)):
+        if raw.get(key) is not None:
+            _check_keys(raw[key], allowed, f"{path}: {key}")
     compare_raw = _check_keys(raw.get("compare", {}), ("ours", "baseline"), f"{path}: compare")
 
     formats = report_mod.check_formats(tuple(raw.get("formats", report_mod.FORMATS)))
@@ -118,11 +114,11 @@ def load_config(path: str | Path) -> RunConfig:
         normalize_piracy=bool(raw.get("normalize_piracy", False)),
         output_dir=resolve(raw.get("output_dir", "out")),
         formats=formats,
-        fabric_capacity=None if budget_raw is None else budget_raw.get("capacity"),
+        fabric_capacity=(raw.get("fabric_budget") or {}).get("capacity"),
         partition_method=raw.get("partition_method", "greedy"),
-        carbon=carbon_raw,
+        carbon=raw.get("carbon"),
         compare=compare_raw,
-        aging=aging_raw,
+        aging=raw.get("aging"),
     )
 
 
@@ -140,7 +136,7 @@ def cmd_partition(
     effective_capacity = capacity if capacity is not None else config.fabric_capacity
     if effective_capacity is None:
         raise ValidationError("no fabric capacity given (config fabric_budget or --capacity)")
-    budget = FabricBudget(capacity=float(effective_capacity))
+    budget = FabricBudget(capacity=_require_finite(effective_capacity, "fabric_budget capacity"))
     effective_method = method or config.partition_method
     if effective_method == "greedy":
         plan = plan_greedy(cards, dataset, budget)
@@ -177,7 +173,7 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     comparisons: dict[str, carbon_mod.CarbonComparison] = {}
     for design_id in sorted(anchors):
         platform_reports: dict[str, carbon_mod.CarbonReport] = {}
-        platform_anchors = anchors[design_id]
+        platform_anchors = _check_keys(anchors[design_id], None, f"carbon anchors {design_id!r}")
         for platform in sorted(platform_anchors):
             if platform not in PLATFORMS:
                 raise ValidationError(
@@ -199,6 +195,7 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
 
     reduction_designs = list(section.get("reduction_designs", sorted(comparisons)))
     scenario_raw = section.get("reduction_scenario", {"kind": "lifetime_years", "value": 1.0})
+    _check_keys(scenario_raw, ("kind", "value"), "carbon reduction_scenario", ("kind", "value"))
     scenario = carbon_mod.Scenario(str(scenario_raw["kind"]), float(scenario_raw["value"]))
     mean_reduction = None
     if comparisons and reduction_designs:
@@ -220,7 +217,7 @@ def cmd_aging(
     if config.aging is None:
         raise ValidationError("config has no 'aging' section")
     section = config.aging
-    curves_raw = section.get("curves")
+    curves_raw = _check_keys(section.get("curves") or {}, None, "aging curves")
     if not curves_raw:
         raise ValidationError("aging config requires 'curves'")
     curves = [
@@ -237,10 +234,14 @@ def cmd_aging(
     regions_raw = section.get("regions")
     blocks_raw = section.get("blocks")
     if regions_raw and blocks_raw:
-        regions = [aging_mod.FabricRegion(**_check_keys(entry, _REGION_KEYS, "aging region"))
-                   for entry in regions_raw]
-        blocks = [aging_mod.LogicBlock(**_check_keys(entry, _BLOCK_KEYS, "aging block"))
-                  for entry in blocks_raw]
+        regions = [
+            aging_mod.FabricRegion(**_check_keys(item, _REGION_KEYS, "aging region", _REGION_KEYS))
+            for item in regions_raw
+        ]
+        blocks = [
+            aging_mod.LogicBlock(**_check_keys(item, _BLOCK_KEYS, "aging block", _BLOCK_KEYS))
+            for item in blocks_raw
+        ]
         base_curve = next(
             (c for c in curves if c.platform == "ecologic"), curves[0]
         )

@@ -56,12 +56,12 @@ def _require_count(value: Any, what: str) -> int:
 
 
 def _check_keys(
-    raw: Any, allowed: Sequence[str], where: str, required: Sequence[str] = ()
+    raw: Any, allowed: Sequence[str] | None, where: str, required: Sequence[str] = ()
 ) -> Mapping[str, Any]:
-    """Require a JSON object with only ``allowed`` keys and every ``required`` one."""
+    """Require a JSON object with every ``required`` key and only ``allowed`` ones (None: any)."""
     if not isinstance(raw, Mapping):
         raise ValidationError(f"{where}: must be a JSON object")
-    unknown = set(raw) - set(allowed)
+    unknown = set() if allowed is None else set(raw) - set(allowed)
     if unknown:
         raise ValidationError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
     missing = [k for k in required if k not in raw]

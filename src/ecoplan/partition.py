@@ -3,26 +3,28 @@
 The objective is the knapsack reading of the ranked scores: maximize the sum
 of composite scores of the IPs admitted to the fabric, subject to their total
 area fitting the fabric capacity. ``plan_greedy`` admits IPs in rank order;
-``plan_exact`` enumerates every subset (capped at 20 IPs) and doubles as the
-greedy's oracle.
+``plan_exact`` finds the optimum by meet-in-the-middle (Horowitz & Sahni,
+1974; capped at 32 IPs) and doubles as the greedy's oracle.
 
-All area and score totals are accumulated in dataset order, so identical IP
-subsets always produce bit-identical totals regardless of which planner chose
-them. That keeps the dominance guarantee (exact >= greedy) exact rather than
-approximate.
+Every float is a dyadic rational, so each column is mapped to integers over
+one shared power-of-two denominator (areas and capacity share one, scores
+have their own) and every capacity and tie comparison is exact. Reported
+totals are ``math.fsum`` over the chosen set: correctly rounded, so they do
+not depend on summation order and never exceed a capacity the exact sum fits.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .model import Dataset, ValidationError, _require_finite
 from .scoring import ScoreCard, rank_cards
 
-EXACT_SIZE_LIMIT = 20
+EXACT_SIZE_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,11 @@ class PartitionPlan:
     method: str
 
 
-def _ordered_sum(values: Sequence[float]) -> float:
-    # Left-to-right accumulation; the single canonical float result
-    # every code path in this module must agree on.
-    acc = 0.0
-    for v in values:
-        acc += v
-    return acc
+def _scaled(values: Sequence[float]) -> list[int]:
+    """Exact integer numerators over one shared power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominator = max(d for _, d in ratios)  # powers of two: the max is a multiple of all
+    return [num * (denominator // d) for num, d in ratios]
 
 
 def _align(cards: Sequence[ScoreCard], dataset: Dataset) -> list[ScoreCard]:
@@ -75,13 +75,11 @@ def _align(cards: Sequence[ScoreCard], dataset: Dataset) -> list[ScoreCard]:
 def _finish_plan(
     dataset: Dataset, score_by_id: dict[str, float], chosen: set[str], method: str
 ) -> PartitionPlan:
-    used = _ordered_sum([ip.area for ip in dataset.ips if ip.id in chosen])
-    total = _ordered_sum([score_by_id[ip.id] for ip in dataset.ips if ip.id in chosen])
     return PartitionPlan(
         efpga_ips=frozenset(chosen),
         asic_ips=frozenset(set(dataset.ip_ids) - chosen),
-        used_area=used,
-        total_score=total,
+        used_area=math.fsum(ip.area for ip in dataset.ips if ip.id in chosen),
+        total_score=math.fsum(score_by_id[i] for i in chosen),
         method=method,
     )
 
@@ -95,21 +93,29 @@ def plan_greedy(
     """
     ordered_cards = _align(cards, dataset)
     score_by_id = {c.ip_id: c.composite for c in ordered_cards}
-    ranked = rank_cards(ordered_cards, {ip.id: ip.area for ip in dataset.ips})
-
+    area_of = {ip.id: ip.area for ip in dataset.ips}
+    ranked = rank_cards(ordered_cards, area_of)
+    *areas, room = _scaled([area_of[c.ip_id] for c in ranked] + [budget.capacity])
     chosen: set[str] = set()
-    for card in ranked:
-        candidate = chosen | {card.ip_id}
-        used = _ordered_sum([ip.area for ip in dataset.ips if ip.id in candidate])
-        if used <= budget.capacity:
-            chosen = candidate
+    for card, area in zip(ranked, areas):
+        if area <= room:
+            chosen.add(card.ip_id)
+            room -= area
     return _finish_plan(dataset, score_by_id, chosen, "greedy")
+
+
+def _subset_sums(items: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Component-wise totals of every subset of ``items``, indexed by bitmask."""
+    sums = [(0, 0, 0)]
+    for area, score, weight in items:
+        sums += [(a + area, s + score, w + weight) for a, s, w in sums]
+    return sums
 
 
 def plan_exact(
     cards: Sequence[ScoreCard], dataset: Dataset, budget: FabricBudget
 ) -> PartitionPlan:
-    """Exhaustive optimum over all subsets (dataset size capped at 20).
+    """Optimum over all subsets by meet-in-the-middle (dataset size capped at 32).
 
     Among feasible subsets the plan maximizes total score; ties prefer the
     smaller used area and then the lexicographically smallest id set.
@@ -121,31 +127,24 @@ def plan_exact(
         )
     ordered_cards = _align(cards, dataset)
     score_by_id = {c.ip_id: c.composite for c in ordered_cards}
+    *areas, capacity = _scaled([ip.area for ip in dataset.ips] + [budget.capacity])
+    scores = _scaled([c.composite for c in ordered_cards])
+    # Weight bit n-1-r marks the id of sorted rank r. Areas are > 0, so no tied
+    # set contains another, and the larger weight sum is the smaller id set.
+    weight_of = {ip_id: 1 << (n - 1 - r) for r, ip_id in enumerate(sorted(dataset.ip_ids))}
+    items = list(zip(areas, scores, (weight_of[ip.id] for ip in dataset.ips)))
 
-    areas = [ip.area for ip in dataset.ips]
-    scores = [score_by_id[ip.id] for ip in dataset.ips]
-
-    # Subset-sum tables indexed by bitmask; the doubling construction adds
-    # items in ascending dataset order, matching _ordered_sum bit-for-bit.
-    area_sums = np.zeros(1)
-    score_sums = np.zeros(1)
-    for a, s in zip(areas, scores):
-        area_sums = np.concatenate((area_sums, area_sums + a))
-        score_sums = np.concatenate((score_sums, score_sums + s))
-
-    feasible = area_sums <= budget.capacity
-    best_score = score_sums[feasible].max()
-    candidates = np.nonzero(feasible & (score_sums == best_score))[0]
-    candidate_areas = area_sums[candidates]
-    candidates = candidates[candidate_areas == candidate_areas.min()]
-
-    ids = dataset.ip_ids
-
-    def id_set(mask: int) -> tuple[str, ...]:
-        return tuple(sorted(ids[i] for i in range(n) if mask >> i & 1))
-
-    best_mask = min((id_set(int(m)), int(m)) for m in candidates)[1]
-    chosen = {ids[i] for i in range(n) if best_mask >> i & 1}
+    # The key (score, -area, weight) is additive: each left subset pairs with the
+    # best right subset that fits, found by binary search over area-sorted maxima.
+    right = sorted(_subset_sums(items[n // 2:]))
+    right_areas = [a for a, _, _ in right]
+    prefix_best = list(accumulate(((s, -a, w) for a, s, w in right), max))
+    best = (-math.inf,)
+    for a, s, w in _subset_sums(items[: n // 2]):
+        if a <= capacity:
+            rs, ra, rw = prefix_best[bisect_right(right_areas, capacity - a) - 1]
+            best = max(best, (s + rs, ra - a, w + rw))
+    chosen = {ip_id for ip_id, weight in weight_of.items() if best[2] & weight}
     return _finish_plan(dataset, score_by_id, chosen, "exact")
 
 
@@ -170,7 +169,7 @@ def validate_plan(plan: PartitionPlan, dataset: Dataset, budget: FabricBudget) -
         raise ValidationError(
             f"capacity error: used_area {plan.used_area} exceeds capacity {budget.capacity}"
         )
-    recomputed = _ordered_sum([ip.area for ip in dataset.ips if ip.id in plan.efpga_ips])
+    recomputed = math.fsum(ip.area for ip in dataset.ips if ip.id in plan.efpga_ips)
     if abs(plan.used_area - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
         raise ValidationError(
             f"accounting error: used_area {plan.used_area} != sum of fabric IP areas {recomputed}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -246,24 +247,28 @@ class TestC6Ratios:
 
 
 def _acceptance_oracle(areas, scores, capacity):
-    """Second, independent exhaustive search (bitmask walk, ascending-index
-    accumulation), written separately from both the planner and the unit-test
-    oracle."""
+    """Second, independent exhaustive search (bitmask walk, exact rational
+    totals), written separately from both the planner and the unit-test
+    oracle. Returns the nearest floats of the best exact totals."""
     n = len(areas)
-    best = None  # (score, -? ) use tuple compare on (-score, area, mask_ids)
+    exact_areas = [Fraction(a) for a in areas]
+    exact_scores = [Fraction(s) for s in scores]
+    limit = Fraction(capacity)
+    used = [Fraction(0)] * (1 << n)
+    value = [Fraction(0)] * (1 << n)
+    best = None  # ((-score, area), mask), smallest key wins
     for mask in range(1 << n):
-        used = 0.0
-        value = 0.0
-        for i in range(n):
-            if mask >> i & 1:
-                used += areas[i]
-                value += scores[i]
-        if used > capacity:
+        if mask:
+            # Extend the totals of the same subset without its lowest item.
+            i = (mask & -mask).bit_length() - 1
+            used[mask] = used[mask & (mask - 1)] + exact_areas[i]
+            value[mask] = value[mask & (mask - 1)] + exact_scores[i]
+        if used[mask] > limit:
             continue
-        key = (-value, used)
+        key = (-value[mask], used[mask])
         if best is None or key < best[0]:
             best = (key, mask)
-    return -best[0][0], best[0][1]
+    return float(-best[0][0]), float(best[0][1])
 
 
 @pytest.mark.criterion("C7", "exact planner equals independent oracle on 200 instances")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecoplan
 from ecoplan.cli import main
 from ecoplan.fixtures import fixture_path
 
@@ -115,6 +120,24 @@ class TestPartitionCommand:
         ) == 1
         assert not out.exists()
         assert "--capacity" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("capacity", [True, "big"])
+    def test_non_number_capacity_is_validation_error(
+        self, write_config, tmp_path, capsys, capacity
+    ):
+        config = write_config(lambda raw: raw.update(fabric_budget={"capacity": capacity}))
+        out = tmp_path / "out"
+        assert run_cli("partition", "--config", config, "--out", out) == 1
+        assert "fabric_budget capacity must be a real number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_import_does_not_load_numpy(self):
+        code = "import ecoplan.cli, sys; assert 'numpy' not in sys.modules"
+        env = dict(os.environ)
+        src = str(Path(ecoplan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestCarbonCommand:
@@ -272,6 +295,31 @@ class TestConfigStrictness:
         out = tmp_path / "o"
         assert run_cli("aging", "--config", config, "--out", out) == 1
         assert f"{owner} {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, mutate, section",
+        [
+            ("carbon", lambda raw: raw["carbon"].update(reduction_scenario={"value": 1.0}),
+             "carbon reduction_scenario"),
+            ("aging", lambda raw: raw["aging"]["regions"][0].pop("health_factor"),
+             "aging region"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].pop("size"), "aging block"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(d1=46600.0),
+             "carbon anchors 'd1'"),
+            ("aging", lambda raw: raw["aging"].update(curves=[[25, 9.8], [130, 5.4]]),
+             "aging curves"),
+        ],
+        ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
+             "anchor-not-object", "curves-as-list"],
+    )
+    def test_malformed_section_is_validation_error(
+        self, write_config, tmp_path, capsys, command, mutate, section
+    ):
+        config = write_config(mutate)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", config, "--out", out) == 1
+        assert section in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_typo_is_validation_error(self, write_config, tmp_path, capsys):

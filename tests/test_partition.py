@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -20,33 +21,24 @@ from ecoplan.scoring import ScoreCard, score_dataset
 def brute_force_best(ids, areas, scores, capacity):
     """Independent exhaustive oracle over itertools.combinations.
 
-    Totals are accumulated left-to-right in dataset order, the same canonical
-    order the planners use, so equal subsets give bit-identical floats.
+    Totals are exact rational sums (``fractions.Fraction``), so they do not
+    depend on summation order; the returned totals are their nearest floats.
     """
-    def ordered_sum(indices):
-        acc = 0.0
-        for i in sorted(indices):
-            acc += scores[i]
-        return acc
-
-    def ordered_area(indices):
-        acc = 0.0
-        for i in sorted(indices):
-            acc += areas[i]
-        return acc
+    def exact_sum(values, indices):
+        return sum((Fraction(values[i]) for i in indices), Fraction(0))
 
     best_key = None
     best_set = None
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(range(len(ids)), size):
-            used = ordered_area(combo)
-            if used > capacity:
+            used = exact_sum(areas, combo)
+            if used > Fraction(capacity):
                 continue
-            key = (-ordered_sum(combo), used, tuple(sorted(ids[i] for i in combo)))
+            key = (-exact_sum(scores, combo), used, tuple(sorted(ids[i] for i in combo)))
             if best_key is None or key < best_key:
                 best_key = key
                 best_set = combo
-    return frozenset(ids[i] for i in best_set), -best_key[0], best_key[1]
+    return frozenset(ids[i] for i in best_set), float(-best_key[0]), float(best_key[1])
 
 
 def minimal_ip(ip_id: str, area: float) -> IpProfile:
@@ -65,8 +57,8 @@ def minimal_ip(ip_id: str, area: float) -> IpProfile:
     )
 
 
-def make_instance(areas, scores) -> tuple[list[ScoreCard], Dataset]:
-    ids = [f"ip{i:02d}" for i in range(len(areas))]
+def make_instance(areas, scores, ids=None) -> tuple[list[ScoreCard], Dataset]:
+    ids = ids or [f"ip{i:02d}" for i in range(len(areas))]
     dataset = Dataset(
         ips=tuple(minimal_ip(ip_id, area) for ip_id, area in zip(ids, areas)),
         area_unit="gate_eq",
@@ -139,14 +131,26 @@ class TestExact:
         plan = plan_exact(cards, six_ip_dataset, FabricBudget(total_area))
         assert plan.efpga_ips == set(six_ip_dataset.ip_ids)
 
-    def test_matches_independent_oracle_on_random_instances(self):
+    @pytest.mark.parametrize("generator", ["uniform", "tie_heavy"])
+    def test_matches_independent_oracle_on_random_instances(self, generator):
         rng = random.Random(1207)
         for _ in range(60):
-            n = rng.randint(1, 8)
-            areas = [rng.uniform(1, 100) for _ in range(n)]
-            scores = [rng.uniform(0, 1) for _ in range(n)]
-            capacity = rng.uniform(1, sum(areas) * 1.1)
-            cards, dataset = make_instance(areas, scores)
+            if generator == "uniform":
+                n = rng.randint(1, 8)
+                areas = [rng.uniform(1, 100) for _ in range(n)]
+                scores = [rng.uniform(0, 1) for _ in range(n)]
+                capacity = rng.uniform(1, sum(areas) * 1.1)
+                ids = None
+            else:
+                # Small integer areas and quarter-step scores make many subsets
+                # tie on score and area; odd and even n split unevenly or evenly.
+                # Shuffled ids make the id tie-break disagree with dataset order.
+                n = rng.randint(1, 11)
+                areas = [float(rng.randint(1, 6)) for _ in range(n)]
+                scores = [rng.randint(0, 4) / 4 for _ in range(n)]
+                capacity = float(rng.randint(1, int(sum(areas))))
+                ids = [f"ip{i:02d}" for i in rng.sample(range(n), n)]
+            cards, dataset = make_instance(areas, scores, ids)
             budget = FabricBudget(capacity)
             plan = plan_exact(cards, dataset, budget)
             best_set, best_score, best_area = brute_force_best(
@@ -197,6 +201,15 @@ class TestExact:
         cards, dataset = make_instance(areas, scores)
         with pytest.raises(ValidationError, match="size error"):
             plan_exact(cards, dataset, FabricBudget(5.0))
+
+    def test_size_limit_instance_picks_the_best_scores(self):
+        n, k = EXACT_SIZE_LIMIT, 11
+        scores = [((7 * i) % n + 1) / n for i in range(n)]
+        cards, dataset = make_instance([1.0] * n, scores)
+        plan = plan_exact(cards, dataset, FabricBudget(float(k)))
+        best = sorted(range(n), key=lambda i: -scores[i])[:k]
+        assert plan.efpga_ips == {dataset.ip_ids[i] for i in best}
+        assert plan.used_area == float(k)
 
     def test_greedy_and_exact_agree_unconstrained(self, six_ip_dataset, default_weights):
         cards = score_dataset(six_ip_dataset, default_weights)

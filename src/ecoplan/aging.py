@@ -25,13 +25,19 @@ class SlackCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((float(t), float(s)) for t, s in self.points)
+        where = f"curve {self.platform!r}"
+        if not isinstance(self.points, (list, tuple)) or not all(
+            isinstance(point, (list, tuple)) and len(point) == 2 for point in self.points
+        ):
+            raise ValidationError(f"{where} points must be [temperature, slack] pairs")
+        pts = tuple(
+            (_require_finite(t, f"{where} temperature"), _require_finite(s, f"{where} slack"))
+            for t, s in self.points
+        )
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValidationError(f"curve {self.platform!r} needs at least 2 points")
-        for temp, slack in pts:
-            if not math.isfinite(temp) or not math.isfinite(slack):
-                raise ValidationError(f"curve {self.platform!r} has a non-finite point")
+        for _, slack in pts:
             if slack < 0:
                 raise ValidationError(f"curve {self.platform!r} has negative slack {slack}")
         temps = [t for t, _ in pts]

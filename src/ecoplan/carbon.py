@@ -130,8 +130,11 @@ def deploy_carbon(params: CarbonParams) -> float:
     Exactly linear in n_vol, lifetime_hours, and the energy rate, with
     app_dev_carbon as the fixed offset.
     """
-    e_use = params.e_use_per_hour_kwh * params.lifetime_hours
-    return params.n_vol * params.grid_intensity * e_use + app_dev_carbon(params)
+    return _runtime_carbon(params, params.n_vol, params.lifetime_hours) + app_dev_carbon(params)
+
+
+def _runtime_carbon(params: CarbonParams, n_vol: int, lifetime_hours: float) -> float:
+    return n_vol * params.grid_intensity * (params.e_use_per_hour_kwh * lifetime_hours)
 
 
 def total_cfp(per_app: Sequence[tuple[float, CarbonParams]]) -> float:
@@ -172,16 +175,26 @@ def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) ->
     """Evaluate the sweep grid for one design on one platform.
 
     Lifetime cells run at the base volume; volume cells run at the spec's
-    fixed lifetime. Cells scale exactly linearly along both axes.
+    fixed lifetime. Cells scale exactly linearly along both axes. Each cell
+    is ``deploy_carbon`` of ``base`` with that volume and lifetime, computed
+    without building its params: the spec already holds positive lifetimes
+    and volumes, so the one check a cell can still fail is a lifetime in
+    hours that overflows to infinity.
     """
+    app_dev = app_dev_carbon(base)
     cells: dict[Scenario, float] = {}
     for years in spec.lifetimes_years:
-        cell_params = replace(base, lifetime_hours=years * HOURS_PER_YEAR)
-        cells[Scenario("lifetime_years", float(years))] = deploy_carbon(cell_params)
-    fixed_hours = spec.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR
+        hours = _require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
+        cells[Scenario("lifetime_years", float(years))] = (
+            _runtime_carbon(base, base.n_vol, hours) + app_dev
+        )
+    hours = _require_finite(
+        spec.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR, "lifetime_hours"
+    )
     for volume in spec.volumes:
-        cell_params = replace(base, n_vol=int(volume), lifetime_hours=fixed_hours)
-        cells[Scenario("volume", float(volume))] = deploy_carbon(cell_params)
+        cells[Scenario("volume", float(volume))] = (
+            _runtime_carbon(base, int(volume), hours) + app_dev
+        )
     return CarbonReport(design_id=design_id, platform=platform, cells=cells)
 
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import aging as aging_mod
 from . import carbon as carbon_mod
@@ -27,6 +27,7 @@ from .model import (
     ValidationError,
     _check_keys,
     _read_json_object,
+    _require_count,
     _require_finite,
     load_dataset,
     weights_from_dict,
@@ -107,11 +108,16 @@ def load_config(path: str | Path) -> RunConfig:
             _check_keys(raw[key], allowed, f"{path}: {key}")
     compare_raw = _check_keys(raw.get("compare", {}), ("ours", "baseline"), f"{path}: compare")
 
+    normalize_piracy = raw.get("normalize_piracy", False)
+    if not isinstance(normalize_piracy, bool):
+        raise ValidationError(
+            f"{path}: normalize_piracy must be true or false, got {normalize_piracy!r}"
+        )
     formats = report_mod.check_formats(tuple(raw.get("formats", report_mod.FORMATS)))
     return RunConfig(
         dataset_path=resolve(raw["dataset"]),
         weights=weights_from_dict(raw["weights"]),
-        normalize_piracy=bool(raw.get("normalize_piracy", False)),
+        normalize_piracy=normalize_piracy,
         output_dir=resolve(raw.get("output_dir", "out")),
         formats=formats,
         fabric_capacity=(raw.get("fabric_budget") or {}).get("capacity"),
@@ -148,6 +154,14 @@ def cmd_partition(
     return report_mod.partition_report_files(plan, budget, formats)
 
 
+def _sweep_list(raw: Mapping[str, Any], key: str, check: Callable[[Any, str], Any]) -> tuple:
+    """The sweep list ``raw[key]`` with ``check`` applied to every entry."""
+    values = raw.get(key, [])
+    if not isinstance(values, list):
+        raise ValidationError(f"carbon sweep {key} must be a list, got {values!r}")
+    return tuple(check(value, f"carbon sweep {key}") for value in values)
+
+
 def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     if config.carbon is None:
         raise ValidationError("config has no 'carbon' section")
@@ -155,13 +169,16 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
         config.carbon, _CARBON_KEYS, "carbon config", ("base", "anchors", "sweep")
     )
     base_raw = _check_keys(section["base"], _CARBON_BASE_KEYS, "carbon base")
-    anchor_years = float(section.get("anchor_lifetime_years", 1.0))
+    anchor_years = _require_finite(
+        section.get("anchor_lifetime_years", 1.0), "carbon anchor_lifetime_years"
+    )
     sweep_raw = _check_keys(section["sweep"], _SWEEP_KEYS, "carbon sweep")
     spec = carbon_mod.SweepSpec(
-        lifetimes_years=tuple(float(y) for y in sweep_raw.get("lifetimes_years", ())),
-        volumes=tuple(int(v) for v in sweep_raw.get("volumes", ())),
-        fixed_lifetime_for_volume_sweep_years=float(
-            sweep_raw.get("fixed_lifetime_for_volume_sweep_years", 0.0)
+        lifetimes_years=_sweep_list(sweep_raw, "lifetimes_years", _require_finite),
+        volumes=_sweep_list(sweep_raw, "volumes", _require_count),
+        fixed_lifetime_for_volume_sweep_years=_require_finite(
+            sweep_raw.get("fixed_lifetime_for_volume_sweep_years", 0.0),
+            "carbon sweep fixed_lifetime_for_volume_sweep_years",
         ),
     )
 
@@ -179,7 +196,9 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
                 raise ValidationError(
                     f"carbon anchors: unknown platform {platform!r} for design {design_id!r}"
                 )
-            anchor_kg = float(platform_anchors[platform])
+            anchor_kg = _require_finite(
+                platform_anchors[platform], f"carbon anchors {design_id!r} {platform}"
+            )
             base = carbon_mod.CarbonParams(
                 lifetime_hours=anchor_years * carbon_mod.HOURS_PER_YEAR,
                 e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
@@ -196,7 +215,10 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     reduction_designs = list(section.get("reduction_designs", sorted(comparisons)))
     scenario_raw = section.get("reduction_scenario", {"kind": "lifetime_years", "value": 1.0})
     _check_keys(scenario_raw, ("kind", "value"), "carbon reduction_scenario", ("kind", "value"))
-    scenario = carbon_mod.Scenario(str(scenario_raw["kind"]), float(scenario_raw["value"]))
+    scenario = carbon_mod.Scenario(
+        str(scenario_raw["kind"]),
+        _require_finite(scenario_raw["value"], "carbon reduction_scenario value"),
+    )
     mean_reduction = None
     if comparisons and reduction_designs:
         mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
@@ -221,13 +243,13 @@ def cmd_aging(
     if not curves_raw:
         raise ValidationError("aging config requires 'curves'")
     curves = [
-        aging_mod.SlackCurve(platform=platform, points=tuple(map(tuple, points)))
+        aging_mod.SlackCurve(platform=platform, points=points)
         for platform, points in sorted(curves_raw.items())
     ]
     temp = temperature if temperature is not None else section.get("temperature_c")
     if temp is None:
         raise ValidationError("no temperature given (config temperature_c or --temperature)")
-    temp = float(temp)
+    temp = _require_finite(temp, "aging temperature")
     slacks = {curve.platform: aging_mod.slack_at(curve, temp) for curve in curves}
 
     plan = None

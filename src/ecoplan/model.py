@@ -40,18 +40,25 @@ class SchemaVersionError(ValidationError):
     """The file declares a schema_version this package does not understand."""
 
 
-def _require_finite(value: float, what: str) -> float:
+def _label(what: str, args: tuple[Any, ...]) -> str:
+    return what % args if args else what
+
+
+def _require_finite(value: Any, what: str, *args: Any) -> float:
+    """``value`` as a float; ``what % args`` names it in the error and is
+    only formatted when a check fails."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
+        raise ValidationError(f"{_label(what, args)} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{_label(what, args)} must be finite, got {value!r}")
     return value
 
 
-def _require_count(value: Any, what: str) -> int:
+def _require_count(value: Any, what: str, *args: Any) -> int:
+    """``value`` checked to be an int (not a bool); ``what`` as for :func:`_require_finite`."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{_label(what, args)} must be an integer, got {value!r}")
     return value
 
 
@@ -79,6 +86,9 @@ def _read_json_object(
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     return _check_keys(raw, allowed, str(path), required)
+
+
+_FIELD = "IP %r field %r"
 
 
 @dataclass(frozen=True)
@@ -118,34 +128,37 @@ class IpProfile:
         if not isinstance(self.name, str) or not self.name:
             self._fail("name", "must be a non-empty string")
 
-        if _require_count(self.loc_changed, self._what("loc_changed")) < 0:
+        ip_id = self.id
+        if _require_count(self.loc_changed, _FIELD, ip_id, "loc_changed") < 0:
             self._fail("loc_changed", "must be >= 0")
-        if _require_count(self.churn_window, self._what("churn_window")) < 1:
+        if _require_count(self.churn_window, _FIELD, ip_id, "churn_window") < 1:
             self._fail("churn_window", "must be >= 1")
 
-        risk = _require_finite(self.confidentiality_risk, self._what("confidentiality_risk"))
+        risk = _require_finite(self.confidentiality_risk, _FIELD, ip_id, "confidentiality_risk")
         if not 0.0 <= risk <= 1.0:
             self._fail("confidentiality_risk", "must lie in [0, 1]")
 
-        if _require_count(self.io_control_nets, self._what("io_control_nets")) < 0:
+        if _require_count(self.io_control_nets, _FIELD, ip_id, "io_control_nets") < 0:
             self._fail("io_control_nets", "must be >= 0")
-        if _require_count(self.internal_nets_and_state, self._what("internal_nets_and_state")) < 1:
+        if _require_count(
+            self.internal_nets_and_state, _FIELD, ip_id, "internal_nets_and_state"
+        ) < 1:
             self._fail("internal_nets_and_state", "must be >= 1")
 
-        total = _require_finite(self.total_logic, self._what("total_logic"))
+        total = _require_finite(self.total_logic, _FIELD, ip_id, "total_logic")
         if total <= 0:
             self._fail("total_logic", "must be > 0")
-        mapped = _require_finite(self.logic_mapped_to_efpga, self._what("logic_mapped_to_efpga"))
+        mapped = _require_finite(self.logic_mapped_to_efpga, _FIELD, ip_id, "logic_mapped_to_efpga")
         if mapped < 0:
             self._fail("logic_mapped_to_efpga", "must be >= 0")
         if mapped > total:
             self._fail("logic_mapped_to_efpga", "must not exceed total_logic")
 
         for fname in ("f_max_asic", "f_max_efpga", "area"):
-            if _require_finite(getattr(self, fname), self._what(fname)) <= 0:
+            if _require_finite(getattr(self, fname), _FIELD, ip_id, fname) <= 0:
                 self._fail(fname, "must be > 0")
         if self.f_max_fpga is not None:
-            if _require_finite(self.f_max_fpga, self._what("f_max_fpga")) <= 0:
+            if _require_finite(self.f_max_fpga, _FIELD, ip_id, "f_max_fpga") <= 0:
                 self._fail("f_max_fpga", "must be > 0")
 
         for fname in ("power_mw", "slack_ns", "area_mm2"):
@@ -157,11 +170,9 @@ class IpProfile:
             for platform, value in metrics.items():
                 if platform not in PLATFORMS:
                     self._fail(fname, f"unknown platform {platform!r} (expected one of {PLATFORMS})")
-                if _require_finite(value, self._what(f"{fname}[{platform}]")) < 0:
+                # platform is a PLATFORMS name here, so '%s[%s]' spells the repr
+                if _require_finite(value, "IP %r field '%s[%s]'", ip_id, fname, platform) < 0:
                     self._fail(fname, f"value for platform {platform!r} must be >= 0")
-
-    def _what(self, fname: str) -> str:
-        return f"IP {self.id!r} field {fname!r}"
 
     def _fail(self, fname: str, why: str) -> None:
         raise ValidationError(f"IP {self.id!r} field {fname!r} {why}")

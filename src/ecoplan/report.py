@@ -10,18 +10,34 @@ pipeline, no timestamps are embedded, and every floating-point value is
 printed with 4 significant digits (internal math stays full precision).
 Writes are staged through temp files so a failing command never leaves a
 partial report behind.
+
+A declared table (``_Table``) holds its cells by column and converts each
+column once per output kind. For CSV and markdown every cell becomes its
+``fmt`` text, and a markdown table cut from the CSV table (``table[1:8]``)
+reuses those strings. A table placed in a JSON payload stands for its list
+of records, one object per row keyed by the headers: the keys are sorted
+once into a row template, each column becomes JSON literals in one pass, and
+every record is that template filled with its row's literals.
+
+``_encode`` is the only JSON writer. Its output is byte for byte what
+``json.dumps(payload, indent=2, sort_keys=True)`` gives once every float is
+rounded to report precision, but it does not call the stdlib: any ``indent``
+sends CPython's ``json`` through its pure-Python encoder, which for the large
+reports meant a dict per row, a rounded copy of the whole payload and most of
+the render time. The tests compare ``_encode`` with that stdlib dump.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .aging import RemapPlan, SlackCurve
 from .carbon import CarbonComparison, CarbonReport, Scenario
@@ -32,8 +48,9 @@ from .scoring import ScoreCard
 FORMATS = ("json", "csv", "markdown")
 _EXTENSIONS = {"json": "json", "csv": "csv", "markdown": "md"}
 
-# (headers, rows); a markdown part is either a table or literal text
-_Table = tuple[Sequence[str], Sequence[Sequence[Any]]]
+# JSON spellings of the non-finite floats, keyed by their repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FORMAT4 = "{:.4g}".format
 
 
 def round4(value: float) -> float:
@@ -50,37 +67,150 @@ def fmt(value: Any) -> str:
     return str(value)
 
 
-def _jsonable(value: Any) -> Any:
+class _Table:
+    """Headers and rows of one report table, stored by column.
+
+    ``table[start:stop]`` cuts columns and shares the ``fmt`` text of the
+    cells, which each column computes at most once. In a JSON payload a table
+    stands for its list of records.
+    """
+
+    def __init__(self, headers: Sequence[Any], rows: Sequence[Sequence[Any]]) -> None:
+        self.headers = tuple(headers)
+        self.size = len(rows)
+        self._columns = list(zip(*rows)) or [()] * len(self.headers)
+        self._picks = range(len(self.headers))
+        self._text: list[Sequence[str] | None] = [None] * len(self.headers)
+
+    def __getitem__(self, cut: slice) -> _Table:
+        view = copy.copy(self)
+        view.headers, view._picks = self.headers[cut], self._picks[cut]
+        return view
+
+    def columns(self) -> list[Sequence[Any]]:
+        return [self._columns[i] for i in self._picks]
+
+    def text_rows(self) -> Iterator[tuple[str, ...]]:
+        if not self._picks:
+            return iter([()] * self.size)
+        for i in self._picks:
+            if self._text[i] is None:
+                self._text[i] = _text_column(self._columns[i])
+        return zip(*(self._text[i] for i in self._picks))
+
+
+def _text_column(values: Sequence[Any]) -> Sequence[str]:
+    """``fmt`` of every value; all-float and all-str/int columns skip the per-cell call."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(_FORMAT4, values))
+    if kinds <= {str, int}:
+        return list(map(str, values))
+    return list(map(fmt, values))
+
+
+def _float_literal(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _key(key: Any) -> str:
+    """A dict key as the stdlib encoder writes it (floats are not rounded)."""
+    if isinstance(key, float):
+        key = _float_literal(key)
+    elif key is None or isinstance(key, int):
+        key = _encode(key, 0)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_column(values: Sequence[Any], depth: int) -> list[str]:
+    """The JSON literal of every value; all-float and all-str columns are mapped in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, map(float, map(_FORMAT4, values))))
+        return list(map(_NON_FINITE.get, text, text))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return [_encode(value, depth) for value in values]
+
+
+def _records(table: _Table, depth: int) -> list[str]:
+    """Each row of ``table`` as a JSON object ``depth`` levels deep."""
+    fields = sorted({header: i for i, header in enumerate(table.headers)}.items())
+    if not fields:
+        return ["{}"] * table.size
+    pad = "\n" + "  " * (depth + 1)
+    template = (
+        "{" + pad
+        + ("," + pad).join(_key(header).replace("%", "%%") + ": %s" for header, _ in fields)
+        + pad[:-2] + "}"
+    )
+    columns = table.columns()
+    cells = [_json_column(columns[i], depth + 1) for _, i in fields]
+    return list(map(template.__mod__, zip(*cells)))
+
+
+def _encode(value: Any, depth: int) -> str:
+    """``value`` spelled as ``json.dumps(..., indent=2, sort_keys=True)`` spells
+    it ``depth`` levels deep, with every float value rounded by ``round4``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return round4(value)
+        return _float_literal(round4(value))
+    pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        if not value:
+            return "{}"
+        items = (f"{_key(k)}: {_encode(v, depth + 1)}" for k, v in sorted(value.items()))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(value, _Table):
+        items = _records(value, depth + 1)
+    elif isinstance(value, (list, tuple)):
+        items = [_encode(item, depth + 1) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return "[]"
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
 def render_json(payload: Any) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return _encode(payload, 0) + "\n"
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _csv(table: _Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
+    writer.writerow(table.headers)
+    writer.writerows(table.text_rows())
     return buf.getvalue()
 
 
-def render_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _markdown(table: _Table) -> str:
     lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
+        "| " + " | ".join(table.headers) + " |",
+        "|" + "|".join("---" for _ in table.headers) + "|",
     ]
-    for row in rows:
-        lines.append("| " + " | ".join(fmt(cell) for cell in row) + " |")
+    lines += ["| " + " | ".join(row) + " |" for row in table.text_rows()]
     return "\n".join(lines) + "\n"
+
+
+def render_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    return _csv(_Table(headers, list(rows)))
+
+
+def render_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    return _markdown(_Table(headers, list(rows)))
 
 
 def check_formats(formats: Sequence[str]) -> tuple[str, ...]:
@@ -105,9 +235,9 @@ def _render(
     """Render one declared report: a file per requested format, in FORMATS order."""
     renderers = {
         "json": lambda: render_json(payload),
-        "csv": lambda: render_csv(*table),
+        "csv": lambda: _csv(table),
         "markdown": lambda: "".join(
-            part if isinstance(part, str) else render_markdown_table(*part) for part in markdown
+            part if isinstance(part, str) else _markdown(part) for part in markdown
         ),
     }
     return {output_name(stem, f): renderers[f]() for f in FORMATS if f in formats}
@@ -166,10 +296,8 @@ def score_rows(cards: Sequence[ScoreCard]) -> list[list[Any]]:
 
 
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
-    rows = score_rows(cards)
-    payload = {"report": "score", "cards": [dict(zip(_SCORE_HEADERS, row)) for row in rows]}
-    markdown = [(_SCORE_HEADERS[1:8], [row[1:8] for row in rows])]
-    return _render("score", formats, payload, (_SCORE_HEADERS, rows), markdown)
+    table = _Table(_SCORE_HEADERS, score_rows(cards))
+    return _render("score", formats, {"report": "score", "cards": table}, table, [table[1:8]])
 
 
 # --- partition report --------------------------------------------------------
@@ -189,7 +317,7 @@ def partition_report_files(
     }
     rows = [["efpga", ip_id] for ip_id in sorted(plan.efpga_ips)]
     rows += [["asic", ip_id] for ip_id in sorted(plan.asic_ips)]
-    table = (("placement", "design"), rows)
+    table = _Table(("placement", "design"), rows)
     header = (
         f"method: {plan.method}, capacity: {fmt(float(budget.capacity))}, "
         f"used: {fmt(plan.used_area)}, total score: {fmt(plan.total_score)}\n\n"
@@ -229,25 +357,25 @@ def carbon_report_files(
     reduction_designs: Sequence[str],
     formats: Sequence[str],
 ) -> dict[str, str]:
-    rows = carbon_rows(reports)
+    table = _Table(_CARBON_HEADERS, carbon_rows(reports))
     reduction_rows = [
         [design_id, comparisons[design_id].mean_reduction] for design_id in sorted(comparisons)
     ]
     payload = {
         "report": "carbon",
-        "cells": [dict(zip(_CARBON_HEADERS, row)) for row in rows],
+        "cells": table,
         "reductions_vs_fpga": dict(reduction_rows),
         "mean_reduction": mean_reduction,
         "mean_reduction_designs": list(reduction_designs),
     }
-    markdown: list[_Table | str] = [(_CARBON_HEADERS, rows)]
+    markdown: list[_Table | str] = [table]
     if reduction_rows:
-        markdown += ["\n", (("design", "mean_reduction_vs_fpga"), reduction_rows)]
+        markdown += ["\n", _Table(("design", "mean_reduction_vs_fpga"), reduction_rows)]
     if mean_reduction is not None:
         markdown.append(
             f"\nmean reduction over {', '.join(reduction_designs)}: {fmt(mean_reduction)}\n"
         )
-    return _render("carbon", formats, payload, (_CARBON_HEADERS, rows), markdown)
+    return _render("carbon", formats, payload, table, markdown)
 
 
 # --- platform comparison -----------------------------------------------------
@@ -330,18 +458,15 @@ def compare_report_files(
     agg_headers = (
         "metric", comparison.ours, comparison.baseline, "statistic", "value",
     )
-    series_headers = ("metric", "series", "x", "y")
-    series_rows = [list(row) for row in comparison.series]
+    series = _Table(("metric", "series", "x", "y"), comparison.series)
     payload = {
         "report": "compare",
         "ours": comparison.ours,
         "baseline": comparison.baseline,
         "aggregates": {k: dict(v) for k, v in comparison.aggregates.items()},
-        "series": [dict(zip(series_headers, row)) for row in series_rows],
+        "series": series,
     }
-    return _render(
-        "compare", formats, payload, (series_headers, series_rows), [(agg_headers, agg_rows)]
-    )
+    return _render("compare", formats, payload, series, [_Table(agg_headers, agg_rows)])
 
 
 # --- aging report --------------------------------------------------------------
@@ -355,12 +480,12 @@ def aging_report_files(
     formats: Sequence[str],
 ) -> dict[str, str]:
     slack_rows = [[p, temperature_c, slacks_at_temp[p]] for p in sorted(slacks_at_temp)]
-    slack_table = (("platform", "temperature_c", "slack_ns"), slack_rows)
+    slack_table = _Table(("platform", "temperature_c", "slack_ns"), slack_rows)
     payload: dict[str, Any] = {
         "report": "aging",
         "temperature_c": temperature_c,
         "slack_ns": dict(slacks_at_temp),
-        "curves": {curve.platform: [list(point) for point in curve.points] for curve in curves},
+        "curves": {curve.platform: curve.points for curve in curves},
     }
     markdown: list[_Table | str] = [slack_table]
     if plan is not None:
@@ -369,7 +494,7 @@ def aging_report_files(
             "min_slack_before": plan.min_slack_before,
             "min_slack_after": plan.min_slack_after,
         }
-        markdown += ["\n", (("block", "region"), sorted(plan.assignment.items()))]
+        markdown += ["\n", _Table(("block", "region"), sorted(plan.assignment.items()))]
         markdown.append(f"\nmin slack before: {fmt(plan.min_slack_before)} ns, "
                         f"after: {fmt(plan.min_slack_after)} ns\n")
     return _render("aging", formats, payload, slack_table, markdown)

@@ -86,7 +86,13 @@ def piracy_threat(
     The exposure ratio is clamped to 1 at this combination point only, so the
     raw ratio stays available for reporting.
     """
-    validate_weights(weights)
+    return _piracy_threat(confidentiality, exposure_ratio, redaction, validate_weights(weights))
+
+
+def _piracy_threat(
+    confidentiality: float, exposure_ratio: float, redaction: float, weights: ScoreWeights
+) -> float:
+    """:func:`piracy_threat` with weights the caller has validated."""
     if not 0.0 <= confidentiality <= 1.0:
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
     if not 0.0 <= redaction <= 1.0:
@@ -135,7 +141,20 @@ def composite(
     weights: ScoreWeights,
 ) -> float:
     """Convex combination alpha*A + beta*O + gamma*P + delta*R."""
-    validate_weights(weights)
+    return _composite(
+        adaptability_score, piracy_score, performance_score, resource_score,
+        validate_weights(weights),
+    )
+
+
+def _composite(
+    adaptability_score: float,
+    piracy_score: float,
+    performance_score: float,
+    resource_score: float,
+    weights: ScoreWeights,
+) -> float:
+    """:func:`composite` with weights the caller has validated."""
     subs = (adaptability_score, piracy_score, performance_score, resource_score)
     for name, value in zip(("adaptability", "piracy", "performance", "resource"), subs):
         if not 0.0 <= value <= 1.0:
@@ -199,7 +218,7 @@ def score_dataset(
                 "adaptability": adaptability(ip.loc_changed, max_loc),
                 "exposure": expo,
                 "redaction": redact,
-                "piracy": piracy_threat(ip.confidentiality_risk, expo, redact, weights),
+                "piracy": _piracy_threat(ip.confidentiality_risk, expo, redact, weights),
                 "performance": performance_tolerance(ip.f_max_asic, ip.f_max_efpga),
                 "resource": resource_fit(ip.area, a_min, a_max),
             }
@@ -212,7 +231,7 @@ def score_dataset(
                 row["piracy"] = row["piracy"] / top
 
     composites = [
-        composite(r["adaptability"], r["piracy"], r["performance"], r["resource"], weights)
+        _composite(r["adaptability"], r["piracy"], r["performance"], r["resource"], weights)
         for r in rows
     ]
     normalized = normalize_composites(composites)
@@ -246,7 +265,7 @@ def score_from_subscores(
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one sub-score row")
-    composites = [composite(a, o, p, r, weights) for (_, a, o, p, r) in rows]
+    composites = [_composite(a, o, p, r, weights) for (_, a, o, p, r) in rows]
     normalized = normalize_composites(composites)
     cards = [
         ScoreCard(

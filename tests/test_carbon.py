@@ -178,6 +178,14 @@ class TestSweep:
             expected = anchor * refdata.FIXED_LIFETIME_YEARS * volume / refdata.ANCHOR_VOLUME
             assert cell == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("lifetimes, fixed", [((1.0, 1e305), 1.0), ((1.0,), 1e305)],
+                             ids=["lifetime-cell", "volume-cells"])
+    def test_lifetime_overflowing_to_inf_is_rejected(self, lifetimes, fixed):
+        spec = SweepSpec(lifetimes_years=lifetimes, volumes=(1,),
+                         fixed_lifetime_for_volume_sweep_years=fixed)
+        with pytest.raises(ValidationError, match="lifetime_hours must be finite, got inf"):
+            sweep(spec, anchor_base(), design_id="d1", platform="ecologic")
+
 
 class TestCompare:
     def _reports(self, design):

@@ -309,9 +309,28 @@ class TestConfigStrictness:
              "carbon anchors 'd1'"),
             ("aging", lambda raw: raw["aging"].update(curves=[[25, 9.8], [130, 5.4]]),
              "aging curves"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"]["d1"].update(ecologic=None),
+             "carbon anchors 'd1' ecologic"),
+            ("carbon", lambda raw: raw["carbon"].update(anchor_lifetime_years=None),
+             "carbon anchor_lifetime_years"),
+            ("aging", lambda raw: raw["aging"]["curves"].update(asic=5), "curve 'asic'"),
+            ("aging", lambda raw: raw["aging"]["curves"].update(asic=[1, 2]), "curve 'asic'"),
+            ("score", lambda raw: raw.update(normalize_piracy="false"), "normalize_piracy"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=[1.5]),
+             "carbon sweep volumes"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=1000),
+             "carbon sweep volumes"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(lifetimes_years=["2"]),
+             "carbon sweep lifetimes_years"),
+            ("carbon", lambda raw: raw["carbon"]["reduction_scenario"].update(value=None),
+             "carbon reduction_scenario value"),
+            ("aging", lambda raw: raw["aging"].update(temperature_c="130"), "aging temperature"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
-             "anchor-not-object", "curves-as-list"],
+             "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
+             "curve-not-list", "curve-point-not-pair", "normalize-piracy-string",
+             "volume-not-integer", "volumes-not-list", "lifetime-string", "scenario-value-null",
+             "temperature-string"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

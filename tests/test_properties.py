@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecoplan.carbon import CarbonParams, app_dev_carbon, calibrate_e_use, deploy_carbon, total_cfp
+from ecoplan.carbon import (
+    HOURS_PER_YEAR,
+    CarbonParams,
+    Scenario,
+    SweepSpec,
+    app_dev_carbon,
+    calibrate_e_use,
+    deploy_carbon,
+    sweep,
+    total_cfp,
+)
 from ecoplan.model import Dataset, IpProfile, ScoreWeights, validate_weights
 from ecoplan.partition import FabricBudget, plan_exact, plan_greedy, validate_plan
 from ecoplan.scoring import (
@@ -141,12 +152,14 @@ class TestNormalizationProperties:
         values=st.lists(st.floats(min_value=1e-9, max_value=1e6, **finite), min_size=2, max_size=20),
         scale=st.floats(min_value=1e-6, max_value=1e6, **finite),
     )
+    @example(values=[999999.0, 1e-09, 1.0000000000000003e-09], scale=41.0)
     def test_sort_order_invariant_under_positive_scaling(self, values, scale):
+        # Rounding can make two distinct values equal after scaling, never swap them.
         base = normalize_composites(values)
         scaled = normalize_composites([v * scale for v in values])
-        order_base = sorted(range(len(values)), key=lambda i: (-base[i], i))
-        order_scaled = sorted(range(len(values)), key=lambda i: (-scaled[i], i))
-        assert order_base == order_scaled
+        for i, j in itertools.permutations(range(len(values)), 2):
+            if base[i] > base[j]:
+                assert scaled[i] >= scaled[j]
 
 
 class TestPartitionProperties:
@@ -233,6 +246,35 @@ class TestCarbonProperties:
         rate = calibrate_e_use(anchor, params)
         reproduced = deploy_carbon(replace(params, e_use_per_hour_kwh=rate))
         assert reproduced == pytest.approx(anchor, rel=1e-9)
+
+
+sweep_specs = st.builds(
+    SweepSpec,
+    lifetimes_years=st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, **finite), min_size=1, max_size=5
+    ).map(tuple),
+    volumes=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=5).map(tuple),
+    fixed_lifetime_for_volume_sweep_years=st.floats(min_value=1e-3, max_value=1e3, **finite),
+)
+
+
+class TestSweepProperties:
+    @given(spec=sweep_specs, base=carbon_params)
+    def test_every_cell_is_deploy_carbon_of_its_params(self, spec, base):
+        cells = sweep(spec, base, design_id="d", platform="asic").cells
+        expected = {
+            Scenario("lifetime_years", float(years)): deploy_carbon(
+                replace(base, lifetime_hours=years * HOURS_PER_YEAR)
+            )
+            for years in spec.lifetimes_years
+        }
+        fixed_hours = spec.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR
+        expected.update(
+            (Scenario("volume", float(volume)),
+             deploy_carbon(replace(base, n_vol=volume, lifetime_hours=fixed_hours)))
+            for volume in spec.volumes
+        )
+        assert cells == expected
 
 
 class TestWeightValidationProperties:

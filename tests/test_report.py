@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecoplan.model import Dataset, IpProfile, ValidationError
 from ecoplan.report import (
+    _csv,
+    _markdown,
+    _Table,
     check_formats,
     fmt,
     platform_comparison,
     render_csv,
+    render_json,
     render_markdown_table,
     round4,
     write_outputs,
@@ -97,3 +107,101 @@ class TestWriteOutputs:
         assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt"]
         assert all(p.exists() for p in written)
         assert (out / "a.txt").read_text() == "hello\n"
+
+
+# --- the encoder against the stdlib dump -----------------------------------------
+
+
+def jsonable(value):
+    """Every float rounded to report precision, tuples as lists."""
+    if isinstance(value, float):
+        return round4(value)
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+def stdlib_csv(headers, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
+def stdlib_markdown(headers, rows) -> str:
+    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
+    lines += ["| " + " | ".join(fmt(cell) for cell in row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+awkward_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\{}[],:%\n\t\x00\u00e9\u2028\U0001f600')),
+    max_size=8,
+)
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 123456789012345678.0, 1.5e300,
+    float("nan"), float("inf"), float("-inf"), 0.00012345, 99995.0,
+])
+floats = st.one_of(edge_floats, st.floats())
+ints = st.one_of(st.integers(), st.integers(min_value=-(10**40), max_value=10**40))
+scalars = st.one_of(awkward_text, floats, ints, st.booleans(), st.none())
+remainders = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(awkward_text, inner, max_size=3),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.dictionaries(st.floats(), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+# a column holds one kind of value (the fast paths) or any mix of them
+column_kinds = st.sampled_from([floats, awkward_text, ints, st.booleans(), st.none(), scalars])
+
+
+@st.composite
+def record_tables(draw):
+    headers = draw(st.lists(awkward_text, min_size=1, max_size=5, unique=True))
+    kinds = [draw(column_kinds) for _ in headers]
+    size = draw(st.integers(min_value=0, max_value=6))
+    rows = [[draw(kind) for kind in kinds] for _ in range(size)]
+    return headers, rows
+
+
+class TestEncoderMatchesStdlib:
+    @given(table=record_tables(), remainder=remainders)
+    def test_records_and_remainder_encode_as_the_stdlib_dump(self, table, remainder):
+        headers, rows = table
+        records = [dict(zip(headers, row)) for row in rows]
+        got = render_json({"rows": _Table(headers, rows), "rest": remainder})
+        assert got == stdlib_json({"rows": records, "rest": remainder})
+
+    @given(table=record_tables(), cut=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    def test_csv_and_markdown_cut_format_each_cell_as_fmt(self, table, cut):
+        headers, rows = table
+        lo, hi = sorted(cut)
+        shared = _Table(headers, rows)
+        assert _csv(shared) == stdlib_csv(headers, rows)
+        assert _markdown(shared[lo:hi]) == stdlib_markdown(
+            headers[lo:hi], [row[lo:hi] for row in rows]
+        )
+        assert render_csv(headers, rows) == stdlib_csv(headers, rows)
+        assert render_markdown_table(headers, rows) == stdlib_markdown(headers, rows)
+
+    def test_nested_table_and_empty_containers(self):
+        payload = {"a": [{"t": _Table(("y", "x"), [[1.23456, "q"]])}], "b": [], "c": {}, "d": ()}
+        expected = {"a": [{"t": [{"y": 1.23456, "x": "q"}]}], "b": [], "c": {}, "d": []}
+        assert render_json(payload) == stdlib_json(expected)
+
+    def test_unserializable_value_raises_type_error(self):
+        with pytest.raises(TypeError):
+            render_json({"a": {1, 2}})

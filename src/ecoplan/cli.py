@@ -7,6 +7,9 @@ and the aging inputs; a handful of flags override individual settings.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 On any error the output directory is left without new files.
+
+``import ecoplan.cli`` loads only the model and report layers; each
+``cmd_*`` imports the layers it runs, so a subcommand pays only for those.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from . import aging as aging_mod
-from . import carbon as carbon_mod
 from . import report as report_mod
 from .model import (
     PLATFORMS,
@@ -32,8 +33,6 @@ from .model import (
     load_dataset,
     weights_from_dict,
 )
-from .partition import FabricBudget, plan_exact, plan_greedy, validate_plan
-from .scoring import score_dataset
 
 CONFIG_SCHEMA_VERSION = "1"
 
@@ -129,6 +128,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def cmd_score(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
+    from .scoring import score_dataset
+
     dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     return report_mod.score_report_files(cards, formats)
@@ -137,6 +138,9 @@ def cmd_score(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
 def cmd_partition(
     config: RunConfig, formats: Sequence[str], method: str | None, capacity: float | None
 ) -> dict[str, str]:
+    from .partition import FabricBudget, plan_exact, plan_greedy, validate_plan
+    from .scoring import score_dataset
+
     dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     effective_capacity = capacity if capacity is not None else config.fabric_capacity
@@ -163,6 +167,8 @@ def _sweep_list(raw: Mapping[str, Any], key: str, check: Callable[[Any, str], An
 
 
 def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
+    from . import carbon as carbon_mod
+
     if config.carbon is None:
         raise ValidationError("config has no 'carbon' section")
     section = _check_keys(
@@ -236,6 +242,8 @@ def cmd_compare(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
 def cmd_aging(
     config: RunConfig, formats: Sequence[str], temperature: float | None
 ) -> dict[str, str]:
+    from . import aging as aging_mod
+
     if config.aging is None:
         raise ValidationError("config has no 'aging' section")
     section = config.aging

@@ -3,14 +3,23 @@
 A dataset is a single UTF-8 JSON file with top-level keys ``schema_version``,
 ``area_unit``, and ``ips``. Parsing is strict: unknown keys are rejected so
 that typos surface as errors instead of silently ignored fields. All types
-are immutable after validation and safe to share across workers.
+are immutable after validation and safe to share across workers. Every
+number must also convert to a finite float.
+
+``load_dataset`` first checks the ``ips`` list column by column against the
+rules of ``IpProfile.__post_init__`` and, when every column passes, builds
+the profiles without rerunning those rules per IP. On any failure or doubt
+it takes the per-IP path instead, which alone words the errors, so the first
+error message is the same either way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import chain, repeat
+from operator import le
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -44,21 +53,34 @@ def _label(what: str, args: tuple[Any, ...]) -> str:
     return what % args if args else what
 
 
+def _as_float(value: int | float, what: str, args: tuple[Any, ...]) -> float:
+    """``float(value)``, which must be finite: an int beyond the float range
+    is rejected here rather than overflowing in later arithmetic."""
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{_label(what, args)} must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(result):
+        raise ValidationError(f"{_label(what, args)} must be finite, got {result!r}")
+    return result
+
+
 def _require_finite(value: Any, what: str, *args: Any) -> float:
-    """``value`` as a float; ``what % args`` names it in the error and is
-    only formatted when a check fails."""
+    """``value`` as a finite float; ``what % args`` names it in the error and
+    is only formatted when a check fails."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{_label(what, args)} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{_label(what, args)} must be finite, got {value!r}")
-    return value
+    return _as_float(value, what, args)
 
 
 def _require_count(value: Any, what: str, *args: Any) -> int:
-    """``value`` checked to be an int (not a bool); ``what`` as for :func:`_require_finite`."""
+    """``value`` checked to be an int (not a bool) that converts to a finite
+    float; ``what`` as for :func:`_require_finite`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{_label(what, args)} must be an integer, got {value!r}")
+    _as_float(value, what, args)
     return value
 
 
@@ -255,31 +277,105 @@ class Dataset:
         return tuple(ip.id for ip in self.ips)
 
 
-_IP_REQUIRED = (
-    "id",
-    "name",
-    "loc_changed",
-    "confidentiality_risk",
-    "io_control_nets",
-    "internal_nets_and_state",
-    "logic_mapped_to_efpga",
-    "total_logic",
-    "f_max_asic",
-    "f_max_efpga",
-    "area",
-)
-_IP_OPTIONAL = ("churn_window", "f_max_fpga", "power_mw", "slack_ns", "area_mm2")
+# Every IpProfile field in order, mapped to its default (MISSING: required).
+_IP_DEFAULTS = {f.name: f.default for f in fields(IpProfile)}
+_IP_REQUIRED = tuple(name for name, default in _IP_DEFAULTS.items() if default is MISSING)
 _TOP_LEVEL_KEYS = ("schema_version", "area_unit", "ips")
+
+_INT = frozenset({int})
+_REAL = frozenset({int, float})
+# (column, value types, lower bound, bound excluded): the number rules of
+# IpProfile.__post_init__, checked one column at a time by _ips_by_column
+_IP_COLUMN_RULES = (
+    ("loc_changed", _INT, 0, False),
+    ("churn_window", _INT, 1, False),
+    ("confidentiality_risk", _REAL, 0, False),
+    ("io_control_nets", _INT, 0, False),
+    ("internal_nets_and_state", _INT, 1, False),
+    ("total_logic", _REAL, 0, True),
+    ("logic_mapped_to_efpga", _REAL, 0, False),
+    ("f_max_asic", _REAL, 0, True),
+    ("f_max_efpga", _REAL, 0, True),
+    ("area", _REAL, 0, True),
+    ("f_max_fpga", _REAL, 0, True),  # None (absent) values are left out
+)
+_IP_MAPS = ("power_mw", "slack_ns", "area_mm2")
 
 
 def _ip_from_dict(raw: Any, index: int) -> IpProfile:
     label = raw.get("id", f"#{index}") if isinstance(raw, dict) else f"#{index}"
-    fields = _check_keys(raw, _IP_REQUIRED + _IP_OPTIONAL, f"IP {label!r}", _IP_REQUIRED)
-    return IpProfile(**fields)
+    return IpProfile(**_check_keys(raw, tuple(_IP_DEFAULTS), f"IP {label!r}", _IP_REQUIRED))
+
+
+def _column_ok(values: Sequence[Any], types: frozenset, low: int, strict: bool) -> bool:
+    """Every value has one of ``types`` (a bool never passes) and converts to
+    a finite float above ``low`` (or equal to it when not ``strict``).
+
+    The values are compared as they are, building no float objects: for an
+    integer ``low``, an int or float lies above it exactly when its float
+    does."""
+    if not set(map(type, values)) <= types:
+        return False
+    if not all(map(math.isfinite, values)):  # an int too large for a float raises
+        return False
+    return not values or (min(values) > low if strict else min(values) >= low)
+
+
+def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
+    """The profiles of ``entries`` if every column passes the rules of
+    ``IpProfile.__post_init__``, built without rerunning them per IP.
+
+    None on any failure or doubt, an exception inside the check included:
+    the caller then takes the per-IP path, the only source of error messages.
+    """
+    try:
+        # key sets are checked once per distinct key order, not once per IP
+        if set(map(type, entries)) != {dict} or not all(
+            set(_IP_REQUIRED) <= set(keys) <= _IP_DEFAULTS.keys()
+            for keys in set(map(tuple, entries))
+        ):
+            return None
+        columns = {name: list(map(dict.get, entries, repeat(name), repeat(default)))
+                   for name, default in _IP_DEFAULTS.items()}
+        for name in ("id", "name"):
+            if set(map(type, columns[name])) != {str} or not all(columns[name]):
+                return None
+        for name, types, low, strict in _IP_COLUMN_RULES:
+            values = columns[name]
+            if name == "f_max_fpga":
+                values = [v for v in values if v is not None]
+            if not _column_ok(values, types, low, strict):
+                return None
+        if max(columns["confidentiality_risk"]) > 1 or not all(
+            map(le, columns["logic_mapped_to_efpga"], columns["total_logic"])
+        ):
+            return None
+        maps = [m for name in _IP_MAPS for m in columns[name] if m is not None]
+        if set(map(type, maps)) - {dict} or not all(
+            set(keys) <= set(PLATFORMS) for keys in set(map(tuple, maps))
+        ):
+            return None
+        if not _column_ok(list(chain.from_iterable(map(dict.values, maps))), _REAL, 0, False):
+            return None
+    except Exception:  # noqa: BLE001 - any surprise means: take the per-IP path
+        return None
+    # One profile at a time, field by field in field order, as the generated
+    # __init__ does: CPython then keeps the fields in its compact shared-key
+    # storage (allocating every profile first would give each its own dict).
+    profiles = []
+    for row in zip(*columns.values()):
+        profile = object.__new__(IpProfile)
+        for name, value in zip(_IP_DEFAULTS, row):
+            object.__setattr__(profile, name, value)  # past the frozen-field guard
+        profiles.append(profile)
+    return tuple(profiles)
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset file.
+
+    The ``ips`` list takes the column check of the module docstring first
+    and the per-IP path only when that check fails or is in doubt.
 
     Raises ParseError for malformed JSON, SchemaVersionError for an unknown
     schema_version, ValidationError for any invariant violation (the message
@@ -291,9 +387,12 @@ def load_dataset(path: str | Path) -> Dataset:
         raise SchemaVersionError(
             f"{path}: unknown schema_version {version!r} (supported: {SCHEMA_VERSION!r})"
         )
-    if not isinstance(raw["ips"], list) or not raw["ips"]:
+    entries = raw["ips"]
+    if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{path}: 'ips' must be a non-empty list")
-    ips = tuple(_ip_from_dict(entry, i) for i, entry in enumerate(raw["ips"]))
+    ips = _ips_by_column(entries)
+    if ips is None:
+        ips = tuple(_ip_from_dict(entry, i) for i, entry in enumerate(entries))
     return Dataset(ips=ips, area_unit=raw["area_unit"], schema_version=version)
 
 

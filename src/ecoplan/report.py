@@ -37,13 +37,15 @@ import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
-from .aging import RemapPlan, SlackCurve
-from .carbon import CarbonComparison, CarbonReport, Scenario
 from .model import PLATFORMS, Dataset, ValidationError
-from .partition import FabricBudget, PartitionPlan
-from .scoring import ScoreCard
+
+if TYPE_CHECKING:  # annotations only; each subcommand imports the layers it runs
+    from .aging import RemapPlan, SlackCurve
+    from .carbon import CarbonComparison, CarbonReport, Scenario
+    from .partition import FabricBudget, PartitionPlan
+    from .scoring import ScoreCard
 
 FORMATS = ("json", "csv", "markdown")
 _EXTENSIONS = {"json": "json", "csv": "csv", "markdown": "md"}

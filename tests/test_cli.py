@@ -325,12 +325,21 @@ class TestConfigStrictness:
             ("carbon", lambda raw: raw["carbon"]["reduction_scenario"].update(value=None),
              "carbon reduction_scenario value"),
             ("aging", lambda raw: raw["aging"].update(temperature_c="130"), "aging temperature"),
+            ("carbon", lambda raw: raw["carbon"]["base"].update(n_vol=10**400), "n_vol"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=[1000, 10**400]),
+             "carbon sweep volumes"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"]["d1"].update(fpga=10**400),
+             "carbon anchors 'd1' fpga"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].update(size=10**400),
+             "block 'crypto' size"),
+            ("score", lambda raw: raw["weights"].update(alpha=10**400), "weight 'alpha'"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
              "curve-not-list", "curve-point-not-pair", "normalize-piracy-string",
              "volume-not-integer", "volumes-not-list", "lifetime-string", "scenario-value-null",
-             "temperature-string"],
+             "temperature-string", "n-vol-too-large", "volume-too-large", "anchor-too-large",
+             "block-size-too-large", "weight-too-large"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section
@@ -339,6 +348,29 @@ class TestConfigStrictness:
         out = tmp_path / "o"
         assert run_cli(command, "--config", config, "--out", out) == 1
         assert section in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["area", "loc_changed", "io_control_nets", "total_logic", "internal_nets_and_state",
+         "power_mw"],
+    )
+    def test_dataset_integer_too_large_for_a_float_is_validation_error(
+        self, write_config, tmp_path, capsys, field
+    ):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        if field == "power_mw":
+            raw["ips"][3]["power_mw"]["fpga"] = 10**400
+            named = "IP 'd4' field 'power_mw[fpga]'"
+        else:
+            raw["ips"][3][field] = 10**400
+            named = f"IP 'd4' field {field!r}"
+        dataset = tmp_path / "huge.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset)))
+        out = tmp_path / "o"
+        assert run_cli("score", "--config", config, "--out", out) == 1
+        assert f"{named} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_typo_is_validation_error(self, write_config, tmp_path, capsys):

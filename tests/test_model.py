@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecoplan import model
 from ecoplan.model import (
     Dataset,
     IpProfile,
@@ -171,3 +176,152 @@ class TestDatasetLoading:
         dup = six_ip_dataset.ips + (six_ip_dataset.ips[0],)
         with pytest.raises(ValidationError, match="duplicate"):
             Dataset(ips=dup, area_unit="gate_eq")
+
+
+# --- column-wise dataset check vs the per-IP path -----------------------------
+
+COUNTS = ("loc_changed", "io_control_nets", "internal_nets_and_state", "churn_window")
+REALS = ("confidentiality_risk", "logic_mapped_to_efpga", "total_logic", "f_max_asic",
+         "f_max_efpga", "area", "f_max_fpga")
+MAPS = ("power_mw", "slack_ns", "area_mm2")
+PLATFORMS = ("asic", "fpga", "ecologic")
+positive = st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e9))
+
+
+@st.composite
+def ip_entry(draw, index):
+    total = draw(positive)
+    share = draw(st.sampled_from([0, 1, 0.25]) | st.floats(0, 1))
+    entry = {
+        "id": f"ip{index}",
+        "name": draw(st.text(min_size=1, max_size=6)),
+        "loc_changed": draw(st.integers(0, 10**6)),
+        "confidentiality_risk": draw(st.sampled_from([0, 1]) | st.floats(0, 1)),
+        "io_control_nets": draw(st.integers(0, 10**4)),
+        "internal_nets_and_state": draw(st.integers(1, 10**4)),
+        "logic_mapped_to_efpga": total if share == 1 else share * total,
+        "total_logic": total,
+        "f_max_asic": draw(positive),
+        "f_max_efpga": draw(positive),
+        "area": draw(positive),
+    }
+    if draw(st.booleans()):
+        entry["churn_window"] = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entry["f_max_fpga"] = draw(st.none() | positive)
+    for name in MAPS:
+        if draw(st.booleans()):
+            entry[name] = draw(st.none() | st.dictionaries(
+                st.sampled_from(PLATFORMS), st.integers(0, 10**5) | st.floats(0, 1e6)))
+    return entry
+
+
+MUTATIONS = (
+    "none", "bool", "float-for-count", "non-finite", "zero-or-negative", "risk-over-one",
+    "mapped-over-total", "missing-key", "extra-key", "bad-id-or-name", "entry-not-dict",
+    "map-not-dict", "unknown-platform", "too-large", "duplicate-id", "null-optional",
+)
+
+
+def mutate(draw, entries, kind):
+    """Break one IP in the way ``kind`` names; the per-IP checks reject most
+    of these and accept a few ("none", "null-optional" on f_max_fpga)."""
+    i = draw(st.integers(0, len(entries) - 1))
+    entry = entries[i]
+    number_fields = COUNTS + REALS
+    if kind == "bool":
+        entry[draw(st.sampled_from(number_fields))] = draw(st.booleans())
+    elif kind == "float-for-count":
+        entry[draw(st.sampled_from(COUNTS))] = draw(st.sampled_from([1.0, 2.5, 0.0]))
+    elif kind in ("non-finite", "zero-or-negative", "too-large"):
+        value = draw(st.sampled_from({
+            "non-finite": [float("nan"), float("inf"), -float("inf")],
+            "zero-or-negative": [0, 0.0, -0.0, -1, -0.5],
+            "too-large": [10**400, -(10**400)],
+        }[kind]))
+        target = draw(st.sampled_from(number_fields + MAPS))
+        if target in MAPS:
+            entry[target] = {draw(st.sampled_from(PLATFORMS)): value}
+        else:
+            entry[target] = value
+    elif kind == "risk-over-one":
+        entry["confidentiality_risk"] = draw(st.sampled_from([2, 1.0000000000000002]))
+    elif kind == "mapped-over-total":
+        entry["logic_mapped_to_efpga"] = entry["total_logic"] * 2
+    elif kind == "missing-key":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif kind == "extra-key":
+        entry["bogus"] = 1
+    elif kind == "bad-id-or-name":
+        entry[draw(st.sampled_from(["id", "name"]))] = draw(st.sampled_from(["", 5, None, ["x"]]))
+    elif kind == "entry-not-dict":
+        entries[i] = draw(st.sampled_from([None, 5, "ip", [1, 2]]))
+    elif kind == "map-not-dict":
+        entry[draw(st.sampled_from(MAPS))] = draw(st.sampled_from([5, "asic", [1.0]]))
+    elif kind == "unknown-platform":
+        entry[draw(st.sampled_from(MAPS))] = {"gpu": 1.0}
+    elif kind == "duplicate-id":
+        entry["id"] = entries[0]["id"] if isinstance(entries[0], dict) else "ip0"
+    elif kind == "null-optional":
+        entry[draw(st.sampled_from(["churn_window", "f_max_fpga"]))] = None
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return exc
+
+
+def load_per_ip(path):
+    """load_dataset with the column check switched off: the reference."""
+    with mock.patch.object(model, "_ips_by_column", return_value=None):
+        return load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("column_check") / "dataset.json"
+
+
+class TestColumnCheck:
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_ip_path(self, dataset_file, kind, data):
+        n = data.draw(st.integers(1, 6))
+        entries = [data.draw(ip_entry(i)) for i in range(n)]
+        mutate(data.draw, entries, kind)
+        dataset_file.write_text(
+            json.dumps({"schema_version": "1", "area_unit": "um2", "ips": entries}),
+            encoding="utf-8",
+        )
+        expected = outcome(load_per_ip, dataset_file)
+        actual = outcome(load_dataset, dataset_file)
+        if isinstance(expected, Exception):
+            assert (type(actual), str(actual)) == (type(expected), str(expected)), kind
+            return
+        assert actual == expected, kind
+        # repr tells 1 from 1.0 in every field and map value
+        assert repr(actual) == repr(expected), kind
+        if kind == "none":  # valid input takes the column path
+            assert model._ips_by_column(json.loads(dataset_file.read_text())["ips"]) is not None
+
+    def test_fixture_takes_the_column_path(self, six_ip_dataset):
+        raw = dataset_to_dict(six_ip_dataset)
+        ips = model._ips_by_column(raw["ips"])
+        assert ips is not None and ips == six_ip_dataset.ips
+
+    def test_profiles_from_the_column_path_stay_frozen_and_checked(self, six_ip_dataset):
+        ip = model._ips_by_column(dataset_to_dict(six_ip_dataset)["ips"])[0]
+        with pytest.raises(FrozenInstanceError):
+            ip.area = 1.0
+        with pytest.raises(ValidationError, match="'d1' field 'area' must be > 0"):
+            replace(ip, area=-1.0)
+        assert replace(ip, name="renamed").name == "renamed"
+
+    def test_exception_inside_the_check_falls_back(self, six_ip_dataset, tmp_path):
+        path = tmp_path / "d.json"
+        save_dataset(six_ip_dataset, path)
+        with mock.patch.object(model, "_column_ok", side_effect=RuntimeError("boom")):
+            assert load_dataset(path) == six_ip_dataset

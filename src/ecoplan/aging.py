@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import ValidationError, _require_finite
+from .model import _REAL, ValidationError, _require_finite, _require_number, _require_text
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,9 @@ class FabricRegion:
     health_factor: float
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("region id must be non-empty")
-        if _require_finite(self.capacity, f"region {self.id!r} capacity") <= 0:
-            raise ValidationError(f"region {self.id!r} capacity must be > 0")
-        health = _require_finite(self.health_factor, f"region {self.id!r} health_factor")
-        if not 0.0 < health <= 1.0:
-            raise ValidationError(f"region {self.id!r} health_factor must lie in (0, 1]")
+        _require_text(self.id, "region id")
+        _require_number(self.capacity, _REAL, 0, True, None, "region %r capacity", self.id)
+        _require_number(self.health_factor, _REAL, 0, True, 1, "region %r health_factor", self.id)
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,9 @@ class LogicBlock:
     region: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("block id must be non-empty")
-        if _require_finite(self.size, f"block {self.id!r} size") <= 0:
-            raise ValidationError(f"block {self.id!r} size must be > 0")
-        if not self.region:
-            raise ValidationError(f"block {self.id!r} must name its current region")
+        _require_text(self.id, "block id")
+        _require_number(self.size, _REAL, 0, True, None, "block %r size", self.id)
+        _require_text(self.region, "block %r region", self.id)
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,7 @@ class RemapPlan:
 
 def slack_at(curve: SlackCurve, temp: float) -> float:
     """Interpolate the curve at ``temp``; exact at knots, no extrapolation."""
-    if not math.isfinite(float(temp)):
-        raise ValidationError(f"temperature must be finite, got {temp!r}")
+    _require_finite(temp, "temperature")
     if temp < curve.t_min or temp > curve.t_max:
         raise ValidationError(
             f"temperature {temp} outside curve {curve.platform!r} "

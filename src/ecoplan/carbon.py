@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import ValidationError, _require_count, _require_finite
+from .model import _INT, _REAL, ValidationError, _require_count, _require_finite, _require_number
 
 HOURS_PER_YEAR = 8760.0
 
@@ -89,13 +89,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.lifetimes_years or not self.volumes:
             raise ValidationError("sweep lists must be non-empty")
-        if any(not math.isfinite(float(y)) or y <= 0 for y in self.lifetimes_years):
-            raise ValidationError("sweep lifetimes must be > 0")
-        if any((not isinstance(v, int)) or isinstance(v, bool) or v < 1 for v in self.volumes):
-            raise ValidationError("sweep volumes must be positive integers")
-        fixed = self.fixed_lifetime_for_volume_sweep_years
-        if not math.isfinite(float(fixed)) or fixed <= 0:
-            raise ValidationError("fixed lifetime for the volume sweep must be > 0")
+        for years in self.lifetimes_years:
+            _require_number(years, _REAL, 0, True, None, "carbon sweep lifetimes_years")
+        for volume in self.volumes:
+            _require_number(volume, _INT, 1, False, None, "carbon sweep volumes")
+        _require_number(self.fixed_lifetime_for_volume_sweep_years, _REAL, 0, True, None,
+                        "carbon sweep fixed_lifetime_for_volume_sweep_years")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
@@ -27,8 +27,9 @@ from .model import (
     ScoreWeights,
     ValidationError,
     _check_keys,
+    _fields_of,
+    _from_dict,
     _read_json_object,
-    _require_count,
     _require_finite,
     load_dataset,
     weights_from_dict,
@@ -66,10 +67,7 @@ _CARBON_BASE_KEYS = (
     "hls_synth_hours",
     "config_hours",
 )
-_SWEEP_KEYS = ("lifetimes_years", "volumes", "fixed_lifetime_for_volume_sweep_years")
 _AGING_KEYS = ("curves", "temperature_c", "regions", "blocks")
-_REGION_KEYS = ("id", "capacity", "health_factor")
-_BLOCK_KEYS = ("id", "size", "region")
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,11 @@ def load_config(path: str | Path) -> RunConfig:
 
     base_dir = Path(path).parent
 
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
+    def resolve(key: str, default: str | None = None) -> Path:
+        value = raw.get(key, default)
+        if not isinstance(value, str):
+            raise ValidationError(f"{path}: {key} must be a string, got {value!r}")
+        candidate = Path(value)
         return candidate if candidate.is_absolute() else base_dir / candidate
 
     for key, allowed in (("fabric_budget", ("capacity",)), ("carbon", _CARBON_KEYS),
@@ -112,12 +113,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError(
             f"{path}: normalize_piracy must be true or false, got {normalize_piracy!r}"
         )
-    formats = report_mod.check_formats(tuple(raw.get("formats", report_mod.FORMATS)))
+    formats = _list(raw.get("formats", list(report_mod.FORMATS)), f"{path}: formats", True)
+    formats = report_mod.check_formats(tuple(formats))
     return RunConfig(
-        dataset_path=resolve(raw["dataset"]),
+        dataset_path=resolve("dataset"),
         weights=weights_from_dict(raw["weights"]),
         normalize_piracy=normalize_piracy,
-        output_dir=resolve(raw.get("output_dir", "out")),
+        output_dir=resolve("output_dir", "out"),
         formats=formats,
         fabric_capacity=(raw.get("fabric_budget") or {}).get("capacity"),
         partition_method=raw.get("partition_method", "greedy"),
@@ -158,12 +160,13 @@ def cmd_partition(
     return report_mod.partition_report_files(plan, budget, formats)
 
 
-def _sweep_list(raw: Mapping[str, Any], key: str, check: Callable[[Any, str], Any]) -> tuple:
-    """The sweep list ``raw[key]`` with ``check`` applied to every entry."""
-    values = raw.get(key, [])
-    if not isinstance(values, list):
-        raise ValidationError(f"carbon sweep {key} must be a list, got {values!r}")
-    return tuple(check(value, f"carbon sweep {key}") for value in values)
+def _list(value: Any, what: str, strings: bool = False) -> list:
+    """``value``, which must be a JSON list (of strings, if ``strings``)."""
+    if not isinstance(value, list) or strings and not all(isinstance(v, str) for v in value):
+        raise ValidationError(
+            f"{what} must be a list{' of strings' if strings else ''}, got {value!r}"
+        )
+    return value
 
 
 def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
@@ -178,13 +181,14 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     anchor_years = _require_finite(
         section.get("anchor_lifetime_years", 1.0), "carbon anchor_lifetime_years"
     )
-    sweep_raw = _check_keys(section["sweep"], _SWEEP_KEYS, "carbon sweep")
+    # every sweep key is optional here: SweepSpec words the missing ones
+    sweep_raw = _check_keys(section["sweep"], _fields_of(carbon_mod.SweepSpec)[0], "carbon sweep")
     spec = carbon_mod.SweepSpec(
-        lifetimes_years=_sweep_list(sweep_raw, "lifetimes_years", _require_finite),
-        volumes=_sweep_list(sweep_raw, "volumes", _require_count),
-        fixed_lifetime_for_volume_sweep_years=_require_finite(
-            sweep_raw.get("fixed_lifetime_for_volume_sweep_years", 0.0),
-            "carbon sweep fixed_lifetime_for_volume_sweep_years",
+        lifetimes_years=tuple(_list(sweep_raw.get("lifetimes_years", []),
+                                    "carbon sweep lifetimes_years")),
+        volumes=tuple(_list(sweep_raw.get("volumes", []), "carbon sweep volumes")),
+        fixed_lifetime_for_volume_sweep_years=sweep_raw.get(
+            "fixed_lifetime_for_volume_sweep_years", 0.0
         ),
     )
 
@@ -218,7 +222,9 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
                 platform_reports["ecologic"], platform_reports["fpga"]
             )
 
-    reduction_designs = list(section.get("reduction_designs", sorted(comparisons)))
+    reduction_designs = _list(
+        section.get("reduction_designs", sorted(comparisons)), "carbon reduction_designs", True
+    )
     scenario_raw = section.get("reduction_scenario", {"kind": "lifetime_years", "value": 1.0})
     _check_keys(scenario_raw, ("kind", "value"), "carbon reduction_scenario", ("kind", "value"))
     scenario = carbon_mod.Scenario(
@@ -261,17 +267,11 @@ def cmd_aging(
     slacks = {curve.platform: aging_mod.slack_at(curve, temp) for curve in curves}
 
     plan = None
-    regions_raw = section.get("regions")
-    blocks_raw = section.get("blocks")
+    regions_raw = _list(section.get("regions") or [], "aging regions")
+    blocks_raw = _list(section.get("blocks") or [], "aging blocks")
     if regions_raw and blocks_raw:
-        regions = [
-            aging_mod.FabricRegion(**_check_keys(item, _REGION_KEYS, "aging region", _REGION_KEYS))
-            for item in regions_raw
-        ]
-        blocks = [
-            aging_mod.LogicBlock(**_check_keys(item, _BLOCK_KEYS, "aging block", _BLOCK_KEYS))
-            for item in blocks_raw
-        ]
+        regions = [_from_dict(aging_mod.FabricRegion, item, "aging region") for item in regions_raw]
+        blocks = [_from_dict(aging_mod.LogicBlock, item, "aging block") for item in blocks_raw]
         base_curve = next(
             (c for c in curves if c.platform == "ecologic"), curves[0]
         )

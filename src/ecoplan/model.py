@@ -6,11 +6,11 @@ that typos surface as errors instead of silently ignored fields. All types
 are immutable after validation and safe to share across workers. Every
 number must also convert to a finite float.
 
-``load_dataset`` first checks the ``ips`` list column by column against the
-rules of ``IpProfile.__post_init__`` and, when every column passes, builds
-the profiles without rerunning those rules per IP. On any failure or doubt
-it takes the per-IP path instead, which alone words the errors, so the first
-error message is the same either way.
+The IP number rules are one table, ``_IP_NUMBERS``. ``IpProfile.__post_init__``
+walks it to word each error; ``load_dataset`` first applies each row to a whole
+column and, when every column passes, builds the profiles without the per-IP
+walk. On any failure or doubt it takes the per-IP path, so the first error
+message is the same either way. Record keys come from the dataclasses.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cache
 from itertools import chain, repeat
 from operator import le
 from pathlib import Path
@@ -53,34 +54,55 @@ def _label(what: str, args: tuple[Any, ...]) -> str:
     return what % args if args else what
 
 
-def _as_float(value: int | float, what: str, args: tuple[Any, ...]) -> float:
-    """``float(value)``, which must be finite: an int beyond the float range
-    is rejected here rather than overflowing in later arithmetic."""
+_INT = (int,)
+_REAL = (int, float)
+
+
+def _require_number(
+    value: Any, types: tuple[type, ...], low: int | None, strict: bool, high: int | None,
+    what: str, *args: Any,
+) -> float:
+    """``value`` as a finite float: one of ``types`` (never a bool), above
+    ``low`` (or at it unless ``strict``) and at most ``high`` (None: no bound).
+    ``what % args`` names it in the error and is only formatted on a failure.
+    An int beyond the float range is rejected here rather than overflowing in
+    later arithmetic."""
+    # the exact type first: one lookup is cheaper than two isinstance calls
+    if value.__class__ not in types and (not isinstance(value, types) or isinstance(value, bool)):
+        kind = "a real number" if float in types else "an integer"
+        raise ValidationError(f"{_label(what, args)} must be {kind}, got {value!r}")
     try:
-        result = float(value)
+        number = float(value)
     except OverflowError:
         raise ValidationError(
             f"{_label(what, args)} must be finite, got an integer too large for a float"
         ) from None
-    if not math.isfinite(result):
-        raise ValidationError(f"{_label(what, args)} must be finite, got {result!r}")
-    return result
+    if not math.isfinite(number):
+        raise ValidationError(f"{_label(what, args)} must be finite, got {number!r}")
+    if low is not None and not (number > low if strict else number >= low) or (
+        high is not None and number > high
+    ):
+        bound = (f"be {'>' if strict else '>='} {low}" if high is None
+                 else f"lie in {'(' if strict else '['}{low}, {high}]")
+        raise ValidationError(f"{_label(what, args)} must {bound}")
+    return number
 
 
 def _require_finite(value: Any, what: str, *args: Any) -> float:
-    """``value`` as a finite float; ``what % args`` names it in the error and
-    is only formatted when a check fails."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{_label(what, args)} must be a real number, got {value!r}")
-    return _as_float(value, what, args)
+    """``value``, an int or float, as a finite float."""
+    return _require_number(value, _REAL, None, False, None, what, *args)
 
 
 def _require_count(value: Any, what: str, *args: Any) -> int:
-    """``value`` checked to be an int (not a bool) that converts to a finite
-    float; ``what`` as for :func:`_require_finite`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{_label(what, args)} must be an integer, got {value!r}")
-    _as_float(value, what, args)
+    """``value``, an int that converts to a finite float."""
+    _require_number(value, _INT, None, False, None, what, *args)
+    return value
+
+
+def _require_text(value: Any, what: str, *args: Any) -> str:
+    """``value``, a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{_label(what, args)} must be a non-empty string, got {value!r}")
     return value
 
 
@@ -90,7 +112,7 @@ def _check_keys(
     """Require a JSON object with every ``required`` key and only ``allowed`` ones (None: any)."""
     if not isinstance(raw, Mapping):
         raise ValidationError(f"{where}: must be a JSON object")
-    unknown = set() if allowed is None else set(raw) - set(allowed)
+    unknown = set() if allowed is None else set(raw).difference(allowed)
     if unknown:
         raise ValidationError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
     missing = [k for k in required if k not in raw]
@@ -111,6 +133,23 @@ def _read_json_object(
 
 
 _FIELD = "IP %r field %r"
+_ENTRY = "IP %r field '%s[%s]'"  # a map entry; its platform, a PLATFORMS name, needs no repr
+# (field, value types, lower bound, bound excluded, upper bound) of each IP
+# number, in the order they are checked; a field whose default is None may be null
+_IP_NUMBERS = (
+    ("loc_changed", _INT, 0, False, None),
+    ("churn_window", _INT, 1, False, None),
+    ("confidentiality_risk", _REAL, 0, False, 1),
+    ("io_control_nets", _INT, 0, False, None),
+    ("internal_nets_and_state", _INT, 1, False, None),
+    ("total_logic", _REAL, 0, True, None),
+    ("logic_mapped_to_efpga", _REAL, 0, False, None),
+    ("f_max_asic", _REAL, 0, True, None),
+    ("f_max_efpga", _REAL, 0, True, None),
+    ("area", _REAL, 0, True, None),
+    ("f_max_fpga", _REAL, 0, True, None),
+)
+_IP_MAPS = ("power_mw", "slack_ns", "area_mm2")
 
 
 @dataclass(frozen=True)
@@ -145,45 +184,17 @@ class IpProfile:
     area_mm2: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"IP id must be a non-empty string, got {self.id!r}")
+        ip_id = _require_text(self.id, "IP id")
         if not isinstance(self.name, str) or not self.name:
             self._fail("name", "must be a non-empty string")
+        for fname, types, low, strict, high in _IP_NUMBERS:
+            value = getattr(self, fname)
+            if value is not None or _IP_DEFAULTS[fname] is not None:
+                value = _require_number(value, types, low, strict, high, _FIELD, ip_id, fname)
+            if fname == "logic_mapped_to_efpga" and value > float(self.total_logic):
+                self._fail(fname, "must not exceed total_logic")
 
-        ip_id = self.id
-        if _require_count(self.loc_changed, _FIELD, ip_id, "loc_changed") < 0:
-            self._fail("loc_changed", "must be >= 0")
-        if _require_count(self.churn_window, _FIELD, ip_id, "churn_window") < 1:
-            self._fail("churn_window", "must be >= 1")
-
-        risk = _require_finite(self.confidentiality_risk, _FIELD, ip_id, "confidentiality_risk")
-        if not 0.0 <= risk <= 1.0:
-            self._fail("confidentiality_risk", "must lie in [0, 1]")
-
-        if _require_count(self.io_control_nets, _FIELD, ip_id, "io_control_nets") < 0:
-            self._fail("io_control_nets", "must be >= 0")
-        if _require_count(
-            self.internal_nets_and_state, _FIELD, ip_id, "internal_nets_and_state"
-        ) < 1:
-            self._fail("internal_nets_and_state", "must be >= 1")
-
-        total = _require_finite(self.total_logic, _FIELD, ip_id, "total_logic")
-        if total <= 0:
-            self._fail("total_logic", "must be > 0")
-        mapped = _require_finite(self.logic_mapped_to_efpga, _FIELD, ip_id, "logic_mapped_to_efpga")
-        if mapped < 0:
-            self._fail("logic_mapped_to_efpga", "must be >= 0")
-        if mapped > total:
-            self._fail("logic_mapped_to_efpga", "must not exceed total_logic")
-
-        for fname in ("f_max_asic", "f_max_efpga", "area"):
-            if _require_finite(getattr(self, fname), _FIELD, ip_id, fname) <= 0:
-                self._fail(fname, "must be > 0")
-        if self.f_max_fpga is not None:
-            if _require_finite(self.f_max_fpga, _FIELD, ip_id, "f_max_fpga") <= 0:
-                self._fail("f_max_fpga", "must be > 0")
-
-        for fname in ("power_mw", "slack_ns", "area_mm2"):
+        for fname in _IP_MAPS:
             metrics = getattr(self, fname)
             if metrics is None:
                 continue
@@ -192,8 +203,9 @@ class IpProfile:
             for platform, value in metrics.items():
                 if platform not in PLATFORMS:
                     self._fail(fname, f"unknown platform {platform!r} (expected one of {PLATFORMS})")
-                # platform is a PLATFORMS name here, so '%s[%s]' spells the repr
-                if _require_finite(value, "IP %r field '%s[%s]'", ip_id, fname, platform) < 0:
+                if _require_number(
+                    value, _REAL, None, False, None, _ENTRY, ip_id, fname, platform
+                ) < 0:
                     self._fail(fname, f"value for platform {platform!r} must be >= 0")
 
     def _fail(self, fname: str, why: str) -> None:
@@ -230,7 +242,7 @@ def validate_weights(weights: ScoreWeights) -> ScoreWeights:
     Returns the weights unchanged on success so call sites can chain.
     Raises ValidationError naming the offending component or vector.
     """
-    for fname in ("alpha", "beta", "gamma", "delta", "mu", "nu", "xi"):
+    for fname in _fields_of(ScoreWeights)[0]:
         value = _require_finite(getattr(weights, fname), f"weight {fname!r}")
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"weight {fname!r} must lie in [0, 1], got {value}")
@@ -279,59 +291,56 @@ class Dataset:
 
 # Every IpProfile field in order, mapped to its default (MISSING: required).
 _IP_DEFAULTS = {f.name: f.default for f in fields(IpProfile)}
-_IP_REQUIRED = tuple(name for name, default in _IP_DEFAULTS.items() if default is MISSING)
 _TOP_LEVEL_KEYS = ("schema_version", "area_unit", "ips")
 
-_INT = frozenset({int})
-_REAL = frozenset({int, float})
-# (column, value types, lower bound, bound excluded): the number rules of
-# IpProfile.__post_init__, checked one column at a time by _ips_by_column
-_IP_COLUMN_RULES = (
-    ("loc_changed", _INT, 0, False),
-    ("churn_window", _INT, 1, False),
-    ("confidentiality_risk", _REAL, 0, False),
-    ("io_control_nets", _INT, 0, False),
-    ("internal_nets_and_state", _INT, 1, False),
-    ("total_logic", _REAL, 0, True),
-    ("logic_mapped_to_efpga", _REAL, 0, False),
-    ("f_max_asic", _REAL, 0, True),
-    ("f_max_efpga", _REAL, 0, True),
-    ("area", _REAL, 0, True),
-    ("f_max_fpga", _REAL, 0, True),  # None (absent) values are left out
-)
-_IP_MAPS = ("power_mw", "slack_ns", "area_mm2")
+
+@cache
+def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The field names of dataclass ``cls``, and those of them without a default."""
+    names = fields(cls)
+    return tuple(f.name for f in names), tuple(f.name for f in names if f.default is MISSING)
+
+
+def _from_dict(cls: type, raw: Any, where: str) -> Any:
+    """``cls`` built from the JSON object ``raw``: every key must name a field
+    of ``cls``, and every field without a default must be given."""
+    allowed, required = _fields_of(cls)
+    return cls(**_check_keys(raw, allowed, where, required))
 
 
 def _ip_from_dict(raw: Any, index: int) -> IpProfile:
     label = raw.get("id", f"#{index}") if isinstance(raw, dict) else f"#{index}"
-    return IpProfile(**_check_keys(raw, tuple(_IP_DEFAULTS), f"IP {label!r}", _IP_REQUIRED))
+    return _from_dict(IpProfile, raw, f"IP {label!r}")
 
 
-def _column_ok(values: Sequence[Any], types: frozenset, low: int, strict: bool) -> bool:
-    """Every value has one of ``types`` (a bool never passes) and converts to
-    a finite float above ``low`` (or equal to it when not ``strict``).
-
-    The values are compared as they are, building no float objects: for an
-    integer ``low``, an int or float lies above it exactly when its float
-    does."""
-    if not set(map(type, values)) <= types:
+def _column_ok(
+    values: Sequence[Any], types: tuple[type, ...], low: int, strict: bool, high: int | None
+) -> bool:
+    """:func:`_require_number` for every value, comparing the values as they
+    are rather than building floats: for integer bounds, an int or float lies
+    within them exactly when its float does. A bool never passes."""
+    if not set(map(type, values)).issubset(types):
         return False
     if not all(map(math.isfinite, values)):  # an int too large for a float raises
         return False
-    return not values or (min(values) > low if strict else min(values) >= low)
+    return not values or (min(values) > low if strict else min(values) >= low) and (
+        high is None or max(values) <= high
+    )
 
 
 def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
     """The profiles of ``entries`` if every column passes the rules of
-    ``IpProfile.__post_init__``, built without rerunning them per IP.
+    ``_IP_NUMBERS`` and ``IpProfile.__post_init__``, built without rerunning
+    them per IP.
 
     None on any failure or doubt, an exception inside the check included:
     the caller then takes the per-IP path, the only source of error messages.
     """
     try:
+        required = set(_fields_of(IpProfile)[1])
         # key sets are checked once per distinct key order, not once per IP
         if set(map(type, entries)) != {dict} or not all(
-            set(_IP_REQUIRED) <= set(keys) <= _IP_DEFAULTS.keys()
+            required <= set(keys) <= _IP_DEFAULTS.keys()
             for keys in set(map(tuple, entries))
         ):
             return None
@@ -340,22 +349,20 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
         for name in ("id", "name"):
             if set(map(type, columns[name])) != {str} or not all(columns[name]):
                 return None
-        for name, types, low, strict in _IP_COLUMN_RULES:
+        for name, types, low, strict, high in _IP_NUMBERS:
             values = columns[name]
-            if name == "f_max_fpga":
+            if _IP_DEFAULTS[name] is None:
                 values = [v for v in values if v is not None]
-            if not _column_ok(values, types, low, strict):
+            if not _column_ok(values, types, low, strict, high):
                 return None
-        if max(columns["confidentiality_risk"]) > 1 or not all(
-            map(le, columns["logic_mapped_to_efpga"], columns["total_logic"])
-        ):
+        if not all(map(le, columns["logic_mapped_to_efpga"], columns["total_logic"])):
             return None
         maps = [m for name in _IP_MAPS for m in columns[name] if m is not None]
         if set(map(type, maps)) - {dict} or not all(
             set(keys) <= set(PLATFORMS) for keys in set(map(tuple, maps))
         ):
             return None
-        if not _column_ok(list(chain.from_iterable(map(dict.values, maps))), _REAL, 0, False):
+        if not _column_ok(list(chain.from_iterable(map(dict.values, maps))), _REAL, 0, False, None):
             return None
     except Exception:  # noqa: BLE001 - any surprise means: take the per-IP path
         return None
@@ -398,17 +405,11 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def dataset_to_dict(dataset: Dataset) -> dict[str, Any]:
     """Dictionary form of a dataset, suitable for JSON round-tripping."""
-    ips = []
-    for ip in dataset.ips:
-        entry = asdict(ip)
-        for key in ("f_max_fpga", "power_mw", "slack_ns", "area_mm2"):
-            if entry[key] is None:
-                del entry[key]
-        ips.append(entry)
     return {
         "schema_version": dataset.schema_version,
         "area_unit": dataset.area_unit,
-        "ips": ips,
+        # only the fields whose default is None can be null: those are left out
+        "ips": [{k: v for k, v in asdict(ip).items() if v is not None} for ip in dataset.ips],
     }
 
 
@@ -421,6 +422,4 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def weights_from_dict(raw: Mapping[str, Any]) -> ScoreWeights:
     """Build and validate ScoreWeights from a mapping with the seven keys."""
-    expected = ("alpha", "beta", "gamma", "delta", "mu", "nu", "xi")
-    _check_keys(raw, expected, "weights", expected)
-    return validate_weights(ScoreWeights(**{k: raw[k] for k in expected}))
+    return validate_weights(_from_dict(ScoreWeights, raw, "weights"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .model import Dataset, ScoreWeights, validate_weights
@@ -204,53 +205,43 @@ def score_dataset(
     in-range inputs.
     """
     weights = validate_weights(weights)
-    max_loc = max(ip.loc_changed for ip in dataset.ips)
-    a_min = min(ip.area for ip in dataset.ips)
-    a_max = max(ip.area for ip in dataset.ips)
+    ips = dataset.ips
+    max_loc = max(ip.loc_changed for ip in ips)
+    areas = [ip.area for ip in ips]
+    a_min, a_max = min(areas), max(areas)
 
-    rows = []
-    for ip in dataset.ips:
-        expo = exposure(ip.io_control_nets, ip.internal_nets_and_state)
-        redact = redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic)
-        rows.append(
-            {
-                "ip": ip,
-                "adaptability": adaptability(ip.loc_changed, max_loc),
-                "exposure": expo,
-                "redaction": redact,
-                "piracy": _piracy_threat(ip.confidentiality_risk, expo, redact, weights),
-                "performance": performance_tolerance(ip.f_max_asic, ip.f_max_efpga),
-                "resource": resource_fit(ip.area, a_min, a_max),
-            }
-        )
-
+    expo = [exposure(ip.io_control_nets, ip.internal_nets_and_state) for ip in ips]
+    redact = [redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic) for ip in ips]
+    piracy = list(map(
+        _piracy_threat, [ip.confidentiality_risk for ip in ips], expo, redact, repeat(weights)
+    ))
     if normalize_piracy:
-        top = max(row["piracy"] for row in rows)
+        top = max(piracy)
         if top > 0:
-            for row in rows:
-                row["piracy"] = row["piracy"] / top
+            piracy = [value / top for value in piracy]
 
-    composites = [
-        _composite(r["adaptability"], r["piracy"], r["performance"], r["resource"], weights)
-        for r in rows
-    ]
+    ids = [ip.id for ip in ips]
+    cards = _cards(
+        ids,
+        [adaptability(ip.loc_changed, max_loc) for ip in ips],
+        piracy,
+        [performance_tolerance(ip.f_max_asic, ip.f_max_efpga) for ip in ips],
+        [resource_fit(area, a_min, a_max) for area in areas],
+        weights, expo, redact,
+    )
+    return rank_cards(cards, dict(zip(ids, areas)))
+
+
+def _cards(
+    ids: Sequence[str], adapt: Sequence[float], piracy: Sequence[float], perf: Sequence[float],
+    fit: Sequence[float], weights: ScoreWeights, *raw: Sequence[float],
+) -> list[ScoreCard]:
+    """Unranked cards from one column per sub-score, plus the exposure and
+    redaction columns as ``raw`` when built from raw inputs; ``weights``
+    validated by the caller."""
+    composites = list(map(_composite, adapt, piracy, perf, fit, repeat(weights)))
     normalized = normalize_composites(composites)
-
-    cards = [
-        ScoreCard(
-            ip_id=row["ip"].id,
-            adaptability=row["adaptability"],
-            piracy_threat=row["piracy"],
-            performance_tolerance=row["performance"],
-            resource_fit=row["resource"],
-            composite=comp,
-            normalized=norm,
-            exposure=row["exposure"],
-            redaction_ratio=row["redaction"],
-        )
-        for row, comp, norm in zip(rows, composites, normalized)
-    ]
-    return rank_cards(cards, {ip.id: ip.area for ip in dataset.ips})
+    return list(map(ScoreCard, ids, adapt, piracy, perf, fit, composites, normalized, *raw))
 
 
 def score_from_subscores(
@@ -265,19 +256,7 @@ def score_from_subscores(
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one sub-score row")
-    composites = [_composite(a, o, p, r, weights) for (_, a, o, p, r) in rows]
-    normalized = normalize_composites(composites)
-    cards = [
-        ScoreCard(
-            ip_id=ip_id,
-            adaptability=a,
-            piracy_threat=o,
-            performance_tolerance=p,
-            resource_fit=r,
-            composite=comp,
-            normalized=norm,
-        )
-        for (ip_id, a, o, p, r), comp, norm in zip(rows, composites, normalized)
-    ]
+    ids, adapt, piracy, perf, fit = zip(*rows, strict=True)
+    cards = _cards(ids, adapt, piracy, perf, fit, weights)
     cards.sort(key=lambda c: (-c.composite, c.ip_id))
     return cards

@@ -34,6 +34,36 @@ class TestSlackCurve:
             SlackCurve(platform="x", points=((25.0, 1.0), (30.0, -0.5)))
 
 
+class TestRegionsAndBlocks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FabricRegion("", 1.0, 1.0), "region id must be a non-empty string, got ''"),
+            (lambda: FabricRegion(5, 1.0, 1.0), "region id must be a non-empty string, got 5"),
+            (lambda: FabricRegion("r", 0, 1.0), "region 'r' capacity must be > 0"),
+            (lambda: FabricRegion("r", 1.0, 0.0), "region 'r' health_factor must lie in (0, 1]"),
+            (lambda: FabricRegion("r", 1.0, 1.5), "region 'r' health_factor must lie in (0, 1]"),
+            (lambda: FabricRegion("r", "1", 1.0),
+             "region 'r' capacity must be a real number, got '1'"),
+            (lambda: LogicBlock(["b"], 1.0, "r"), "block id must be a non-empty string, got ['b']"),
+            (lambda: LogicBlock("b", -1, "r"), "block 'b' size must be > 0"),
+            (lambda: LogicBlock("b", 1.0, ""), "block 'b' region must be a non-empty string, got ''"),
+            (lambda: LogicBlock("b", 1.0, 5), "block 'b' region must be a non-empty string, got 5"),
+        ],
+        ids=["region-id-empty", "region-id-int", "capacity-zero", "health-zero", "health-over-one",
+             "capacity-string", "block-id-list", "size-negative", "block-region-empty",
+             "block-region-int"],
+    )
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_bounds_are_inclusive_where_stated(self):
+        assert FabricRegion("r", 1e-9, 1.0).health_factor == 1.0
+        assert LogicBlock("b", 1e-9, "r").size == 1e-9
+
+
 class TestSlackAt:
     def test_exact_at_knots(self, simple_curve):
         for temp, slack in simple_curve.points:
@@ -42,6 +72,18 @@ class TestSlackAt:
     def test_segment_midpoint_is_mean(self, simple_curve):
         assert slack_at(simple_curve, 62.5) == pytest.approx((10.0 + 6.0) / 2, abs=1e-12)
         assert slack_at(simple_curve, 120.0) == pytest.approx((6.0 + 4.0) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "temp, message",
+        [(10**400, "temperature must be finite, got an integer too large for a float"),
+         (float("nan"), "temperature must be finite, got nan"),
+         ("100", "temperature must be a real number, got '100'")],
+        ids=["too-large", "nan", "string"],
+    )
+    def test_temperature_must_be_a_finite_number(self, simple_curve, temp, message):
+        with pytest.raises(ValidationError) as info:
+            slack_at(simple_curve, temp)
+        assert str(info.value) == message
 
     def test_no_extrapolation(self, simple_curve):
         with pytest.raises(ValidationError, match="outside curve"):

@@ -251,3 +251,35 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             SweepSpec(lifetimes_years=(), volumes=(1,),
                       fixed_lifetime_for_volume_sweep_years=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lifetimes_years", (1.0, 10**400), "carbon sweep lifetimes_years must be finite, "
+             "got an integer too large for a float"),
+            ("volumes", (10**400,), "carbon sweep volumes must be finite, "
+             "got an integer too large for a float"),
+            ("fixed_lifetime_for_volume_sweep_years", 10**400,
+             "carbon sweep fixed_lifetime_for_volume_sweep_years must be finite, "
+             "got an integer too large for a float"),
+            ("lifetimes_years", (0,), "carbon sweep lifetimes_years must be > 0"),
+            ("volumes", (1, 0), "carbon sweep volumes must be >= 1"),
+            ("fixed_lifetime_for_volume_sweep_years", -1.0,
+             "carbon sweep fixed_lifetime_for_volume_sweep_years must be > 0"),
+            ("volumes", (1.5,), "carbon sweep volumes must be an integer, got 1.5"),
+            ("volumes", (True,), "carbon sweep volumes must be an integer, got True"),
+            ("lifetimes_years", ("2",), "carbon sweep lifetimes_years must be a real number, "
+             "got '2'"),
+            ("lifetimes_years", (float("nan"),), "carbon sweep lifetimes_years must be finite, "
+             "got nan"),
+        ],
+        ids=["lifetime-too-large", "volume-too-large", "fixed-too-large", "lifetime-zero",
+             "volume-zero", "fixed-negative", "volume-float", "volume-bool", "lifetime-string",
+             "lifetime-nan"],
+    )
+    def test_sweep_spec_checks_every_entry(self, field, value, message):
+        spec = dict(lifetimes_years=(1.0,), volumes=(1,), fixed_lifetime_for_volume_sweep_years=1.0)
+        spec[field] = value
+        with pytest.raises(ValidationError) as info:
+            SweepSpec(**spec)
+        assert str(info.value) == message

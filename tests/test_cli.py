@@ -333,13 +333,41 @@ class TestConfigStrictness:
             ("aging", lambda raw: raw["aging"]["blocks"][0].update(size=10**400),
              "block 'crypto' size"),
             ("score", lambda raw: raw["weights"].update(alpha=10**400), "weight 'alpha'"),
+            ("score", lambda raw: raw.update(dataset=5), "dataset must be a string"),
+            ("score", lambda raw: raw.update(output_dir=5), "output_dir must be a string"),
+            ("score", lambda raw: raw.update(formats=5), "formats must be a list of strings"),
+            ("score", lambda raw: raw.update(formats="json"), "formats must be a list of strings"),
+            ("score", lambda raw: raw.update(formats=[5]), "formats must be a list of strings"),
+            ("carbon", lambda raw: raw["carbon"].update(reduction_designs=5),
+             "carbon reduction_designs must be a list of strings"),
+            ("carbon", lambda raw: raw["carbon"].update(reduction_designs="d1"),
+             "carbon reduction_designs must be a list of strings"),
+            ("carbon", lambda raw: raw["carbon"].update(reduction_designs=[["d1"]]),
+             "carbon reduction_designs must be a list of strings"),
+            ("aging", lambda raw: raw["aging"].update(regions=5), "aging regions must be a list"),
+            ("aging", lambda raw: raw["aging"].update(blocks=5), "aging blocks must be a list"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].update(id=5),
+             "block id must be a non-empty string"),
+            ("aging", lambda raw: raw["aging"]["regions"][0].update(id=["x"]),
+             "region id must be a non-empty string"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].update(id=["x"]),
+             "block id must be a non-empty string"),
+            ("aging", lambda raw: raw["aging"]["regions"][0].update(id=5),
+             "region id must be a non-empty string"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].update(region=5),
+             "block 'crypto' region must be a non-empty string"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
              "curve-not-list", "curve-point-not-pair", "normalize-piracy-string",
              "volume-not-integer", "volumes-not-list", "lifetime-string", "scenario-value-null",
              "temperature-string", "n-vol-too-large", "volume-too-large", "anchor-too-large",
-             "block-size-too-large", "weight-too-large"],
+             "block-size-too-large", "weight-too-large", "dataset-not-string",
+             "output-dir-not-string", "formats-not-list", "formats-string", "format-not-string",
+             "reduction-designs-not-list", "reduction-designs-string",
+             "reduction-design-not-string", "regions-not-list", "blocks-not-list",
+             "block-id-int", "region-id-list", "block-id-list", "region-id-int",
+             "block-region-int"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

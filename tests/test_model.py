@@ -24,7 +24,7 @@ from ecoplan.model import (
 )
 
 
-def make_ip(**overrides) -> IpProfile:
+def ip_entry_dict(**overrides) -> dict:
     base = dict(
         id="ip0",
         name="block",
@@ -39,7 +39,11 @@ def make_ip(**overrides) -> IpProfile:
         area=1000.0,
     )
     base.update(overrides)
-    return IpProfile(**base)
+    return base
+
+
+def make_ip(**overrides) -> IpProfile:
+    return IpProfile(**ip_entry_dict(**overrides))
 
 
 class TestIpProfile:
@@ -78,6 +82,130 @@ class TestIpProfile:
     def test_platform_map_keys_checked(self):
         with pytest.raises(ValidationError, match="power_mw"):
             make_ip(power_mw={"gpu": 10.0})
+
+
+# Each number rule of an IP, worded as the per-IP checks word it. Written out
+# here rather than read from the model's table, so that a wrong table row fails.
+AT_LEAST = "IP 'ip0' field %r must be >= %s"
+ABOVE = "IP 'ip0' field %r must be > 0"
+RISK = "IP 'ip0' field 'confidentiality_risk' must lie in [0, 1]"
+NUMBER_RULES = [
+    # (field, values accepted at or inside the bound, values rejected, message)
+    ("loc_changed", [0, 1], [-1], AT_LEAST % ("loc_changed", 0)),
+    ("churn_window", [1], [0, -1], AT_LEAST % ("churn_window", 1)),
+    ("confidentiality_risk", [0, 0.0, 1, 1.0], [-0.1, 1.0000000000000002, 2], RISK),
+    ("io_control_nets", [0], [-1], AT_LEAST % ("io_control_nets", 0)),
+    ("internal_nets_and_state", [1], [0, -1], AT_LEAST % ("internal_nets_and_state", 1)),
+    ("total_logic", [40.0, 100], [0, 0.0, -1.0], ABOVE % "total_logic"),
+    ("logic_mapped_to_efpga", [0, 0.0, 100, 100.0], [-1, -1e-300],
+     AT_LEAST % ("logic_mapped_to_efpga", 0)),
+    ("f_max_asic", [5e-324, 1], [0, -1.5], ABOVE % "f_max_asic"),
+    ("f_max_efpga", [5e-324, 1], [0, -1.5], ABOVE % "f_max_efpga"),
+    ("area", [5e-324, 1], [0, -0.0, -1], ABOVE % "area"),
+    ("f_max_fpga", [None, 5e-324, 1], [0, -1], ABOVE % "f_max_fpga"),
+]
+ACCEPTED = [(f, v) for f, good, _, _ in NUMBER_RULES for v in good]
+REJECTED = [
+    pytest.param({f: v}, msg, id=f"{f}={v!r}") for f, _, bad, msg in NUMBER_RULES for v in bad
+] + [
+    pytest.param({"logic_mapped_to_efpga": 100.00000000000001},
+                 "IP 'ip0' field 'logic_mapped_to_efpga' must not exceed total_logic",
+                 id="mapped-over-total"),
+    pytest.param({"loc_changed": 3.5}, "IP 'ip0' field 'loc_changed' must be an integer, got 3.5",
+                 id="float-count"),
+    pytest.param({"churn_window": True}, "IP 'ip0' field 'churn_window' must be an integer, got True",
+                 id="bool-count"),
+    pytest.param({"area": "1"}, "IP 'ip0' field 'area' must be a real number, got '1'",
+                 id="string-real"),
+    pytest.param({"f_max_asic": float("nan")}, "IP 'ip0' field 'f_max_asic' must be finite, got nan",
+                 id="nan"),
+    pytest.param({"internal_nets_and_state": 10**400},
+                 "IP 'ip0' field 'internal_nets_and_state' must be finite, "
+                 "got an integer too large for a float", id="too-large"),
+    pytest.param({"churn_window": None}, "IP 'ip0' field 'churn_window' must be an integer, got None",
+                 id="null-churn"),
+    pytest.param({"id": ""}, "IP id must be a non-empty string, got ''", id="empty-id"),
+    pytest.param({"id": 5}, "IP id must be a non-empty string, got 5", id="int-id"),
+    pytest.param({"name": ""}, "IP 'ip0' field 'name' must be a non-empty string", id="empty-name"),
+    pytest.param({"name": ["x"]}, "IP 'ip0' field 'name' must be a non-empty string",
+                 id="list-name"),
+    pytest.param({"power_mw": 5}, "IP 'ip0' field 'power_mw' must be a platform -> value map",
+                 id="map-not-dict"),
+    pytest.param({"slack_ns": {"gpu": 1.0}},
+                 "IP 'ip0' field 'slack_ns' unknown platform 'gpu' "
+                 "(expected one of ('asic', 'fpga', 'ecologic'))", id="unknown-platform"),
+    pytest.param({"area_mm2": {"asic": 0, "fpga": -1}},
+                 "IP 'ip0' field 'area_mm2' value for platform 'fpga' must be >= 0",
+                 id="negative-map-value"),
+    pytest.param({"power_mw": {"ecologic": "1"}},
+                 "IP 'ip0' field 'power_mw[ecologic]' must be a real number, got '1'",
+                 id="string-map-value"),
+    # two faults: the earlier check in the order of the rules words the error
+    pytest.param({"id": "", "name": ""}, "IP id must be a non-empty string, got ''",
+                 id="id-before-name"),
+    pytest.param({"name": "", "loc_changed": -1},
+                 "IP 'ip0' field 'name' must be a non-empty string", id="name-before-numbers"),
+    pytest.param({"loc_changed": -1, "churn_window": 0}, AT_LEAST % ("loc_changed", 0),
+                 id="loc-before-churn"),
+    pytest.param({"churn_window": 0, "confidentiality_risk": 2}, AT_LEAST % ("churn_window", 1),
+                 id="churn-before-risk"),
+    pytest.param({"confidentiality_risk": 2, "io_control_nets": -1}, RISK,
+                 id="risk-before-io"),
+    pytest.param({"io_control_nets": -1, "internal_nets_and_state": 0},
+                 AT_LEAST % ("io_control_nets", 0), id="io-before-internal"),
+    pytest.param({"internal_nets_and_state": 0, "total_logic": 0},
+                 AT_LEAST % ("internal_nets_and_state", 1), id="internal-before-total"),
+    pytest.param({"total_logic": 0, "logic_mapped_to_efpga": -1}, ABOVE % "total_logic",
+                 id="total-before-mapped"),
+    pytest.param({"logic_mapped_to_efpga": 200.0, "f_max_asic": 0},
+                 "IP 'ip0' field 'logic_mapped_to_efpga' must not exceed total_logic",
+                 id="mapped-over-total-before-f_max_asic"),
+    pytest.param({"f_max_asic": 0, "f_max_efpga": 0}, ABOVE % "f_max_asic",
+                 id="f_max_asic-before-f_max_efpga"),
+    pytest.param({"f_max_efpga": 0, "area": 0}, ABOVE % "f_max_efpga",
+                 id="f_max_efpga-before-area"),
+    pytest.param({"area": 0, "f_max_fpga": 0}, ABOVE % "area", id="area-before-f_max_fpga"),
+    pytest.param({"f_max_fpga": 0, "power_mw": {"gpu": 1.0}}, ABOVE % "f_max_fpga",
+                 id="f_max_fpga-before-maps"),
+    pytest.param({"power_mw": {"gpu": 1.0}, "slack_ns": 5},
+                 "IP 'ip0' field 'power_mw' unknown platform 'gpu' "
+                 "(expected one of ('asic', 'fpga', 'ecologic'))", id="power-before-slack"),
+]
+
+
+@pytest.fixture(params=["profile", "load_dataset"])
+def build_ip(request, tmp_path):
+    """Build one IP directly, or through a dataset file (column check first)."""
+    if request.param == "profile":
+        return lambda entry: IpProfile(**entry)
+
+    def through_file(entry):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"schema_version": "1", "area_unit": "um2", "ips": [entry]}),
+                        encoding="utf-8")
+        return load_dataset(path).ips[0]
+
+    return through_file
+
+
+class TestIpMessages:
+    """The exact outcome of every IP rule, at its bound and past it."""
+
+    @pytest.mark.parametrize("field, value", ACCEPTED, ids=[f"{f}={v!r}" for f, v in ACCEPTED])
+    def test_accepted_at_bound(self, build_ip, field, value):
+        ip = build_ip(ip_entry_dict(**{field: value}))
+        assert getattr(ip, field) == value
+
+    @pytest.mark.parametrize("overrides, message", REJECTED)
+    def test_rejected_with_message(self, build_ip, overrides, message):
+        with pytest.raises(ValidationError) as info:
+            build_ip(ip_entry_dict(**overrides))
+        assert str(info.value) == message
+
+    def test_mapped_is_compared_with_total_as_floats(self, build_ip):
+        # 2**53 + 3 rounds to 2.0**53 + 4, so the two are equal as floats
+        ip = build_ip(ip_entry_dict(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4))
+        assert ip.logic_mapped_to_efpga == 2.0**53 + 4
 
 
 class TestWeights:
@@ -220,6 +348,16 @@ MUTATIONS = (
     "none", "bool", "float-for-count", "non-finite", "zero-or-negative", "risk-over-one",
     "mapped-over-total", "missing-key", "extra-key", "bad-id-or-name", "entry-not-dict",
     "map-not-dict", "unknown-platform", "too-large", "duplicate-id", "null-optional",
+    "at-bound",
+)
+# (field, value) exactly at an IP rule's bound; "total" stands for the IP's total_logic
+AT_BOUND = (
+    ("confidentiality_risk", 1), ("confidentiality_risk", 1.0), ("confidentiality_risk", 0),
+    ("churn_window", 1), ("internal_nets_and_state", 1), ("loc_changed", 0),
+    ("io_control_nets", 0), ("logic_mapped_to_efpga", 0), ("logic_mapped_to_efpga", 0.0),
+    ("logic_mapped_to_efpga", "total"), ("total_logic", 0), ("f_max_asic", 0.0),
+    ("f_max_efpga", 0), ("area", 0), ("f_max_fpga", 0.0), ("power_mw", {"asic": 0}),
+    ("area_mm2", {"fpga": 0.0}),
 )
 
 
@@ -264,6 +402,9 @@ def mutate(draw, entries, kind):
         entry["id"] = entries[0]["id"] if isinstance(entries[0], dict) else "ip0"
     elif kind == "null-optional":
         entry[draw(st.sampled_from(["churn_window", "f_max_fpga"]))] = None
+    elif kind == "at-bound":
+        field, value = draw(st.sampled_from(AT_BOUND))
+        entry[field] = entry["total_logic"] if value == "total" else value
 
 
 def outcome(load, path):

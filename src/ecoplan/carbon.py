@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import _INT, _REAL, ValidationError, _require_count, _require_finite, _require_number
+from .model import _INT, _REAL, ValidationError, _require_finite, _require_number
 
 HOURS_PER_YEAR = 8760.0
 
@@ -56,18 +56,13 @@ class CarbonParams:
     prototype: bool = False
 
     def __post_init__(self) -> None:
-        n_vol = _require_count(self.n_vol, "n_vol")
-        if n_vol < 0 or (n_vol == 0 and not self.prototype):
-            raise ValidationError(f"n_vol must be >= 1 (or 0 with prototype=True), got {n_vol}")
-        if _require_count(self.cpu_cores, "cpu_cores") < 1:
-            raise ValidationError(f"cpu_cores must be >= 1, got {self.cpu_cores}")
+        _require_number(self.n_vol, _INT, 0 if self.prototype else 1, False, None, "n_vol")
+        _require_number(self.cpu_cores, _INT, 1, False, None, "cpu_cores")
         for fname in ("lifetime_hours", "grid_intensity", "e_use_per_hour_kwh",
                       "cpu_power_per_core_w"):
-            if _require_finite(getattr(self, fname), fname) <= 0:
-                raise ValidationError(f"{fname} must be > 0, got {getattr(self, fname)}")
+            _require_number(getattr(self, fname), _REAL, 0, True, None, fname)
         for fname in ("rtl_synth_hours", "hls_synth_hours", "config_hours"):
-            if _require_finite(getattr(self, fname), fname) < 0:
-                raise ValidationError(f"{fname} must be >= 0, got {getattr(self, fname)}")
+            _require_number(getattr(self, fname), _REAL, 0, False, None, fname)
 
 
 class Scenario(NamedTuple):
@@ -170,6 +165,13 @@ def calibrated_params(anchor_cfp: float, params: CarbonParams) -> CarbonParams:
     return replace(params, e_use_per_hour_kwh=calibrate_e_use(anchor_cfp, params))
 
 
+def _finite(cells: Mapping[Scenario, float], what: str) -> None:
+    """One pass when every cell is finite; else an error naming the first that is not."""
+    if not all(map(math.isfinite, cells.values())):
+        scenario = next(s for s, value in cells.items() if not math.isfinite(value))
+        raise ValidationError(f"{what} is not finite in cell {scenario}")
+
+
 def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) -> CarbonReport:
     """Evaluate the sweep grid for one design on one platform.
 
@@ -177,8 +179,8 @@ def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) ->
     fixed lifetime. Cells scale exactly linearly along both axes. Each cell
     is ``deploy_carbon`` of ``base`` with that volume and lifetime, computed
     without building its params: the spec already holds positive lifetimes
-    and volumes, so the one check a cell can still fail is a lifetime in
-    hours that overflows to infinity.
+    and volumes, so what can still fail is a lifetime in hours or a cell that
+    overflows to infinity (a huge anchor rate times a long lifetime).
     """
     app_dev = app_dev_carbon(base)
     cells: dict[Scenario, float] = {}
@@ -194,6 +196,7 @@ def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) ->
         cells[Scenario("volume", float(volume))] = (
             _runtime_carbon(base, int(volume), hours) + app_dev
         )
+    _finite(cells, f"carbon of design {design_id!r} on {platform}")
     return CarbonReport(design_id=design_id, platform=platform, cells=cells)
 
 
@@ -213,7 +216,11 @@ def compare(ours: CarbonReport, baseline: CarbonReport) -> CarbonComparison:
         if base_value <= 0:
             raise ValidationError(f"baseline cell {scenario} must be > 0, got {base_value}")
         reductions[scenario] = 1.0 - ours.cells[scenario] / base_value
-    mean = math.fsum(reductions.values()) / len(reductions)
+    _finite(reductions, f"reduction of design {ours.design_id!r}")
+    try:
+        mean = math.fsum(reductions.values()) / len(reductions)
+    except OverflowError:
+        raise ValidationError(f"mean reduction of design {ours.design_id!r} overflows") from None
     return CarbonComparison(design_id=ours.design_id, cells=reductions, mean_reduction=mean)
 
 

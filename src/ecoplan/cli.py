@@ -4,6 +4,8 @@ One executable with subcommands ``score``, ``partition``, ``carbon``,
 ``compare``, and ``aging``. A single JSON run-configuration file names the
 dataset and carries weights, the fabric budget, the carbon sweep and anchors,
 and the aging inputs; a handful of flags override individual settings.
+Every key of that file is one row of ``_CONFIG``, and ``load_config``
+checks every section, whichever subcommand runs.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 On any error the output directory is left without new files.
@@ -22,58 +24,101 @@ from typing import Any, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
-    PLATFORMS,
-    DatasetError,
-    ScoreWeights,
-    ValidationError,
-    _check_keys,
-    _fields_of,
-    _from_dict,
-    _read_json_object,
-    _require_finite,
-    load_dataset,
-    weights_from_dict,
+    PLATFORMS, DatasetError, ScoreWeights, ValidationError, _check_keys, _fields_of, _from_dict,
+    _read_json_object, _require_finite, load_dataset, weights_from_dict,
 )
 
 CONFIG_SCHEMA_VERSION = "1"
 
-_TOP_KEYS = (
-    "schema_version",
-    "dataset",
-    "weights",
-    "normalize_piracy",
-    "fabric_budget",
-    "partition_method",
-    "output_dir",
-    "formats",
-    "carbon",
-    "compare",
-    "aging",
-)
-_CARBON_KEYS = (
-    "base",
-    "anchor_lifetime_years",
-    "anchors",
-    "sweep",
-    "reduction_designs",
-    "reduction_scenario",
-)
-_CARBON_BASE_KEYS = (
-    "n_vol",
-    "grid_intensity",
-    "cpu_power_per_core_w",
-    "cpu_cores",
-    "rtl_synth_hours",
-    "hls_synth_hours",
-    "config_hours",
-)
-_AGING_KEYS = ("curves", "temperature_c", "regions", "blocks")
+_REQUIRED = object()  # the default of a key that must be given
+_FINITE = "a finite number"
+_STRINGS = "a list of strings"
+_SECTION = "a config section"
+_NOUNS = {str: "a string", bool: "true or false", dict: "a JSON object", list: "a list",
+          _STRINGS: _STRINGS}
+
+# Every key of the run configuration, as section -> (key, kind, default) rows.
+# A kind is a JSON type, _FINITE, _STRINGS, a tuple of the allowed strings, or
+# _SECTION: the section named by the key's path, checked the same way. A null
+# value stands for an absent key only where the default is None.
+_CONFIG: dict[str, tuple[tuple[str, Any, Any], ...]] = {
+    "": (
+        ("schema_version", (CONFIG_SCHEMA_VERSION,), CONFIG_SCHEMA_VERSION),
+        ("dataset", str, _REQUIRED),
+        ("weights", dict, _REQUIRED),
+        ("normalize_piracy", bool, False),
+        ("fabric_budget", _SECTION, None),
+        ("partition_method", ("greedy", "exact"), "greedy"),
+        ("output_dir", str, "out"),
+        ("formats", _STRINGS, report_mod.FORMATS),
+        ("carbon", _SECTION, None),
+        ("compare", _SECTION, {}),
+        ("aging", _SECTION, None),
+    ),
+    "fabric_budget": (("capacity", _FINITE, None),),
+    "compare": (("ours", PLATFORMS, "ecologic"), ("baseline", PLATFORMS, "fpga")),
+    "carbon": (
+        ("base", dict, _REQUIRED),  # CarbonParams fields, checked by cmd_carbon
+        ("anchor_lifetime_years", _FINITE, 1.0),
+        ("anchors", dict, _REQUIRED),
+        ("sweep", _SECTION, _REQUIRED),
+        ("reduction_designs", _STRINGS, None),  # None: every compared design
+        ("reduction_scenario", _SECTION, {"kind": "lifetime_years", "value": 1.0}),
+    ),
+    "carbon sweep": (
+        ("lifetimes_years", list, _REQUIRED),
+        ("volumes", list, _REQUIRED),
+        ("fixed_lifetime_for_volume_sweep_years", _FINITE, _REQUIRED),
+    ),
+    "carbon reduction_scenario": (
+        ("kind", ("lifetime_years", "volume"), _REQUIRED),
+        ("value", _FINITE, _REQUIRED),
+    ),
+    "aging": (
+        ("curves", dict, _REQUIRED),
+        ("temperature_c", _FINITE, None),
+        ("regions", list, None),
+        ("blocks", list, None),
+    ),
+}
+_CARBON_DERIVED = ("e_use_per_hour_kwh", "lifetime_hours", "prototype")  # not config keys
+
+
+def _of_kind(value: Any, kind: Any) -> bool:
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is _STRINGS:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, kind)
+
+
+def _section(raw: Any, name: str, where: str) -> dict[str, Any]:
+    """Section ``name`` of the config file ``where``, checked against its rows
+    in ``_CONFIG``: known keys only, every required one given, each value of
+    its row's kind (finite numbers as floats), defaults for the absent keys."""
+    rows = _CONFIG[name]
+    required = [key for key, _, default in rows if default is _REQUIRED]
+    _check_keys(raw, [key for key, _, _ in rows], f"{where}: {name}" if name else where, required)
+    section = {}
+    for key, kind, default in rows:
+        label = f"{name} {key}".lstrip()
+        value = raw.get(key, default)
+        if value is None and default is None:
+            pass
+        elif kind is _SECTION:
+            value = _section(value, label, where)
+        elif kind is _FINITE:
+            value = _require_finite(value, f"{where}: {label}")
+        elif not _of_kind(value, kind):
+            noun = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _NOUNS.get(kind)
+            raise ValidationError(f"{where}: {label} must be {noun}, got {value!r}")
+        section[key] = value
+    return section
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration; paths already resolved against the config
-    file's directory."""
+    """Checked run configuration; paths resolved against the config's directory."""
 
     dataset_path: Path
     weights: ScoreWeights
@@ -88,44 +133,19 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    raw = _read_json_object(path, _TOP_KEYS, ("dataset", "weights"))
-    version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ValidationError(f"{path}: unknown config schema_version {version!r}")
-
-    base_dir = Path(path).parent
-
-    def resolve(key: str, default: str | None = None) -> Path:
-        value = raw.get(key, default)
-        if not isinstance(value, str):
-            raise ValidationError(f"{path}: {key} must be a string, got {value!r}")
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base_dir / candidate
-
-    for key, allowed in (("fabric_budget", ("capacity",)), ("carbon", _CARBON_KEYS),
-                         ("aging", _AGING_KEYS)):
-        if raw.get(key) is not None:
-            _check_keys(raw[key], allowed, f"{path}: {key}")
-    compare_raw = _check_keys(raw.get("compare", {}), ("ours", "baseline"), f"{path}: compare")
-
-    normalize_piracy = raw.get("normalize_piracy", False)
-    if not isinstance(normalize_piracy, bool):
-        raise ValidationError(
-            f"{path}: normalize_piracy must be true or false, got {normalize_piracy!r}"
-        )
-    formats = _list(raw.get("formats", list(report_mod.FORMATS)), f"{path}: formats", True)
-    formats = report_mod.check_formats(tuple(formats))
+    raw = _section(_read_json_object(path, None), "", str(path))
+    base_dir = Path(path).parent  # an absolute path joined to it stays as it is
     return RunConfig(
-        dataset_path=resolve("dataset"),
+        dataset_path=base_dir / raw["dataset"],
         weights=weights_from_dict(raw["weights"]),
-        normalize_piracy=normalize_piracy,
-        output_dir=resolve("output_dir", "out"),
-        formats=formats,
-        fabric_capacity=(raw.get("fabric_budget") or {}).get("capacity"),
-        partition_method=raw.get("partition_method", "greedy"),
-        carbon=raw.get("carbon"),
-        compare=compare_raw,
-        aging=raw.get("aging"),
+        normalize_piracy=raw["normalize_piracy"],
+        output_dir=base_dir / raw["output_dir"],
+        formats=report_mod.check_formats(tuple(raw["formats"])),
+        fabric_capacity=(raw["fabric_budget"] or {}).get("capacity"),
+        partition_method=raw["partition_method"],
+        carbon=raw["carbon"],
+        compare=raw["compare"],
+        aging=raw["aging"],
     )
 
 
@@ -148,25 +168,11 @@ def cmd_partition(
     effective_capacity = capacity if capacity is not None else config.fabric_capacity
     if effective_capacity is None:
         raise ValidationError("no fabric capacity given (config fabric_budget or --capacity)")
-    budget = FabricBudget(capacity=_require_finite(effective_capacity, "fabric_budget capacity"))
-    effective_method = method or config.partition_method
-    if effective_method == "greedy":
-        plan = plan_greedy(cards, dataset, budget)
-    elif effective_method == "exact":
-        plan = plan_exact(cards, dataset, budget)
-    else:
-        raise ValidationError(f"unknown partition method {effective_method!r}")
+    budget = FabricBudget(capacity=effective_capacity)
+    planner = plan_exact if (method or config.partition_method) == "exact" else plan_greedy
+    plan = planner(cards, dataset, budget)
     validate_plan(plan, dataset, budget)
     return report_mod.partition_report_files(plan, budget, formats)
-
-
-def _list(value: Any, what: str, strings: bool = False) -> list:
-    """``value``, which must be a JSON list (of strings, if ``strings``)."""
-    if not isinstance(value, list) or strings and not all(isinstance(v, str) for v in value):
-        raise ValidationError(
-            f"{what} must be a list{' of strings' if strings else ''}, got {value!r}"
-        )
-    return value
 
 
 def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
@@ -174,26 +180,15 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
 
     if config.carbon is None:
         raise ValidationError("config has no 'carbon' section")
-    section = _check_keys(
-        config.carbon, _CARBON_KEYS, "carbon config", ("base", "anchors", "sweep")
-    )
-    base_raw = _check_keys(section["base"], _CARBON_BASE_KEYS, "carbon base")
-    anchor_years = _require_finite(
-        section.get("anchor_lifetime_years", 1.0), "carbon anchor_lifetime_years"
-    )
-    # every sweep key is optional here: SweepSpec words the missing ones
-    sweep_raw = _check_keys(section["sweep"], _fields_of(carbon_mod.SweepSpec)[0], "carbon sweep")
-    spec = carbon_mod.SweepSpec(
-        lifetimes_years=tuple(_list(sweep_raw.get("lifetimes_years", []),
-                                    "carbon sweep lifetimes_years")),
-        volumes=tuple(_list(sweep_raw.get("volumes", []), "carbon sweep volumes")),
-        fixed_lifetime_for_volume_sweep_years=sweep_raw.get(
-            "fixed_lifetime_for_volume_sweep_years", 0.0
-        ),
-    )
+    section = config.carbon
+    base_keys = [f for f in _fields_of(carbon_mod.CarbonParams)[0] if f not in _CARBON_DERIVED]
+    base_raw = _check_keys(section["base"], base_keys, "carbon base")
+    sweep_raw = section["sweep"]
+    spec = carbon_mod.SweepSpec(tuple(sweep_raw["lifetimes_years"]), tuple(sweep_raw["volumes"]),
+                                sweep_raw["fixed_lifetime_for_volume_sweep_years"])
 
     anchors = section["anchors"]
-    if not isinstance(anchors, dict) or not anchors:
+    if not anchors:
         raise ValidationError("carbon anchors must map design -> platform -> kg")
 
     reports: list[carbon_mod.CarbonReport] = []
@@ -210,7 +205,7 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
                 platform_anchors[platform], f"carbon anchors {design_id!r} {platform}"
             )
             base = carbon_mod.CarbonParams(
-                lifetime_hours=anchor_years * carbon_mod.HOURS_PER_YEAR,
+                lifetime_hours=section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR,
                 e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
                 **base_raw,
             )
@@ -222,15 +217,9 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
                 platform_reports["ecologic"], platform_reports["fpga"]
             )
 
-    reduction_designs = _list(
-        section.get("reduction_designs", sorted(comparisons)), "carbon reduction_designs", True
-    )
-    scenario_raw = section.get("reduction_scenario", {"kind": "lifetime_years", "value": 1.0})
-    _check_keys(scenario_raw, ("kind", "value"), "carbon reduction_scenario", ("kind", "value"))
-    scenario = carbon_mod.Scenario(
-        str(scenario_raw["kind"]),
-        _require_finite(scenario_raw["value"], "carbon reduction_scenario value"),
-    )
+    reduction_designs = section["reduction_designs"]
+    reduction_designs = sorted(comparisons) if reduction_designs is None else reduction_designs
+    scenario = carbon_mod.Scenario(**section["reduction_scenario"])
     mean_reduction = None
     if comparisons and reduction_designs:
         mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
@@ -253,28 +242,24 @@ def cmd_aging(
     if config.aging is None:
         raise ValidationError("config has no 'aging' section")
     section = config.aging
-    curves_raw = _check_keys(section.get("curves") or {}, None, "aging curves")
-    if not curves_raw:
+    if not section["curves"]:
         raise ValidationError("aging config requires 'curves'")
-    curves = [
-        aging_mod.SlackCurve(platform=platform, points=points)
-        for platform, points in sorted(curves_raw.items())
-    ]
-    temp = temperature if temperature is not None else section.get("temperature_c")
+    curves = [aging_mod.SlackCurve(platform, points)
+              for platform, points in sorted(section["curves"].items())]
+    temp = temperature if temperature is not None else section["temperature_c"]
     if temp is None:
         raise ValidationError("no temperature given (config temperature_c or --temperature)")
-    temp = _require_finite(temp, "aging temperature")
     slacks = {curve.platform: aging_mod.slack_at(curve, temp) for curve in curves}
 
     plan = None
-    regions_raw = _list(section.get("regions") or [], "aging regions")
-    blocks_raw = _list(section.get("blocks") or [], "aging blocks")
-    if regions_raw and blocks_raw:
-        regions = [_from_dict(aging_mod.FabricRegion, item, "aging region") for item in regions_raw]
-        blocks = [_from_dict(aging_mod.LogicBlock, item, "aging block") for item in blocks_raw]
-        base_curve = next(
-            (c for c in curves if c.platform == "ecologic"), curves[0]
-        )
+    regions, blocks = section["regions"], section["blocks"]
+    if regions is not None or blocks is not None:
+        for key, items in (("regions", regions), ("blocks", blocks)):
+            if not items:
+                raise ValidationError(f"aging {key} must be a non-empty list to remap")
+        regions = [_from_dict(aging_mod.FabricRegion, r, "aging region") for r in regions]
+        blocks = [_from_dict(aging_mod.LogicBlock, b, "aging block") for b in blocks]
+        base_curve = next((c for c in curves if c.platform == "ecologic"), curves[0])
         plan = aging_mod.remap(blocks, regions, base_curve, temp)
     return report_mod.aging_report_files(curves, slacks, temp, plan, formats)
 
@@ -336,10 +321,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         files = cmd_carbon(config, formats)
     elif args.command == "compare":
         files = cmd_compare(config, formats)
-    elif args.command == "aging":
+    else:  # "aging"; argparse allows no other command
         files = cmd_aging(config, formats, args.temperature)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValidationError(f"unknown command {args.command!r}")
 
     written = report_mod.write_outputs(out_dir, files)
     for path in written:

@@ -93,12 +93,6 @@ def _require_finite(value: Any, what: str, *args: Any) -> float:
     return _require_number(value, _REAL, None, False, None, what, *args)
 
 
-def _require_count(value: Any, what: str, *args: Any) -> int:
-    """``value``, an int that converts to a finite float."""
-    _require_number(value, _INT, None, False, None, what, *args)
-    return value
-
-
 def _require_text(value: Any, what: str, *args: Any) -> str:
     """``value``, a non-empty string."""
     if not isinstance(value, str) or not value:
@@ -243,9 +237,7 @@ def validate_weights(weights: ScoreWeights) -> ScoreWeights:
     Raises ValidationError naming the offending component or vector.
     """
     for fname in _fields_of(ScoreWeights)[0]:
-        value = _require_finite(getattr(weights, fname), f"weight {fname!r}")
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"weight {fname!r} must lie in [0, 1], got {value}")
+        _require_number(getattr(weights, fname), _REAL, 0, False, 1, "weight %r", fname)
     quad = weights.alpha + weights.beta + weights.gamma + weights.delta
     if abs(quad - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValidationError(f"weight sum alpha+beta+gamma+delta must equal 1, got {quad}")

@@ -418,6 +418,16 @@ def _platform_metric(ip, metric: str, platform: str) -> float:
     return float(value)
 
 
+def _ratio(metric: str, means: Mapping[str, float], top: str, bottom: str) -> float:
+    """``means[top] / means[bottom]``, which must be finite."""
+    ratio = means[top] / means[bottom] if means[bottom] else math.inf
+    if not math.isfinite(ratio):
+        raise ValidationError(
+            f"{metric} ratio is not finite: platform {bottom!r} has mean {means[bottom]}"
+        )
+    return ratio
+
+
 def platform_comparison(
     dataset: Dataset, ours: str = "ecologic", baseline: str = "fpga"
 ) -> PlatformComparison:
@@ -434,13 +444,18 @@ def platform_comparison(
         per_platform: dict[str, float] = {}
         for platform in (ours, baseline):
             values = [_platform_metric(ip, metric, platform) for ip in dataset.ips]
-            per_platform[platform] = math.fsum(values) / len(values)
+            try:
+                per_platform[platform] = math.fsum(values) / len(values)
+            except OverflowError:
+                raise ValidationError(
+                    f"{metric} values of platform {platform!r} overflow their sum"
+                ) from None
             series.extend((metric, platform, ip.id, v) for ip, v in zip(dataset.ips, values))
         entry = {"ours": per_platform[ours], "baseline": per_platform[baseline]}
         if metric == "power_mw":
-            entry["ratio"] = per_platform[baseline] / per_platform[ours]
+            entry["ratio"] = _ratio(metric, per_platform, baseline, ours)
         elif metric == "frequency_ghz":
-            entry["ratio"] = per_platform[ours] / per_platform[baseline]
+            entry["ratio"] = _ratio(metric, per_platform, ours, baseline)
         else:
             entry["delta"] = per_platform[ours] - per_platform[baseline]
         aggregates[metric] = entry

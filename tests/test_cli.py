@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,26 @@ class TestCompareCommand:
         # 4 metrics x 2 platforms x 6 designs
         assert len(rows) == 1 + 4 * 2 * 6
 
+    @pytest.mark.parametrize(
+        "platform, value, named",
+        [("ecologic", 0, "power_mw ratio is not finite: platform 'ecologic' has mean 0.0"),
+         ("fpga", 1.7e308, "power_mw values of platform 'fpga' overflow their sum")],
+        ids=["ours-power-zero", "baseline-power-overflow"],
+    )
+    def test_compare_on_unusable_power_exits_1_without_files(
+        self, write_config, tmp_path, capsys, platform, value, named
+    ):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        for ip in raw["ips"]:
+            ip["power_mw"][platform] = value
+        dataset = tmp_path / "power.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset)))
+        out = tmp_path / "o"
+        assert run_cli("compare", "--config", config, "--out", out) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAgingCommand:
     def test_reports_slacks_and_remap(self, write_config, tmp_path):
@@ -356,6 +377,28 @@ class TestConfigStrictness:
              "region id must be a non-empty string"),
             ("aging", lambda raw: raw["aging"]["blocks"][0].update(region=5),
              "block 'crypto' region must be a non-empty string"),
+            ("carbon", lambda raw: raw["carbon"]["reduction_scenario"].update(kind=5),
+             "carbon reduction_scenario kind"),
+            ("aging", lambda raw: raw["aging"].update(blocks=[]), "aging blocks"),
+            ("aging", lambda raw: raw["aging"].pop("blocks"), "aging blocks"),
+            ("aging", lambda raw: raw["aging"].update(regions=[]), "aging regions"),
+            ("score", lambda raw: raw.update(partition_method=5), "partition_method"),
+            ("score", lambda raw: raw["carbon"].update(anchor_lifetime_years="1"),
+             "carbon anchor_lifetime_years"),
+            ("score", lambda raw: raw["aging"].update(curves=5), "aging curves"),
+            ("score", lambda raw: raw["compare"].update(ours="gpu"), "compare ours"),
+            ("score", lambda raw: raw["compare"].update(notes="x"), "compare: unknown key"),
+            ("aging", lambda raw: raw["fabric_budget"].update(capacity="big"),
+             "fabric_budget capacity"),
+            ("carbon", lambda raw: raw["carbon"].update(sweep={}), "carbon sweep: missing key"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"]["d1"].update(ecologic=1e308),
+             "design 'd1' on ecologic is not finite in cell"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(
+                d1={"ecologic": 1e10, "fpga": 1e-300}),
+             "reduction of design 'd1' is not finite in cell"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(
+                d1={"ecologic": 1e8, "fpga": 4e-300}),
+             "mean reduction of design 'd1' overflows"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -367,7 +410,11 @@ class TestConfigStrictness:
              "reduction-designs-not-list", "reduction-designs-string",
              "reduction-design-not-string", "regions-not-list", "blocks-not-list",
              "block-id-int", "region-id-list", "block-id-list", "region-id-int",
-             "block-region-int"],
+             "block-region-int", "scenario-kind-int", "blocks-empty", "regions-without-blocks",
+             "regions-empty", "partition-method-int", "carbon-section-read-by-score",
+             "aging-section-read-by-score", "compare-platform-read-by-score",
+             "compare-unknown-key", "fabric-budget-read-by-aging", "sweep-empty",
+             "anchor-cell-infinite", "reduction-infinite", "mean-reduction-overflow"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section
@@ -405,3 +452,49 @@ class TestConfigStrictness:
         config = write_config(lambda raw: raw["carbon"]["sweep"].update(volums=[1]))
         assert run_cli("carbon", "--config", config, "--out", tmp_path / "o") == 1
         assert "volums" in capsys.readouterr().err
+
+
+# One bad value of each JSON kind and edge, for every key path of the demo config
+BAD_VALUES = (None, True, 0, -1, 1.5, 1e308, 10**400, "x", "", [], [5], {}, {"x": 1})
+COMMANDS = ("score", "partition", "carbon", "compare", "aging")
+# the subcommands that read what lies below each top-level section (others: all)
+READERS = {"weights": ("score", "partition"), "fabric_budget": ("partition",),
+           "carbon": ("carbon",), "compare": ("compare",), "aging": ("aging",)}
+
+
+def key_paths(node, path=()):
+    """Every path of keys and list indices into ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from key_paths(child, path + (key,))
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite number {name} in a JSON report")
+
+
+def test_config_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path, demo_config_text):
+    """Each bad value at each key path: exit 0, 1 or 2 from every subcommand
+    that reads it, no files after an error, and strict JSON after a success."""
+    out = tmp_path / "o"
+    failures = []
+    for path in key_paths(json.loads(demo_config_text)):
+        commands = COMMANDS if len(path) == 1 else READERS.get(path[0], COMMANDS)
+        for bad in BAD_VALUES:
+            def mutate(raw):
+                node = raw
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = bad
+
+            config = write_config(mutate)
+            for command in commands:
+                code = run_cli(command, "--config", config, "--out", out)
+                if code not in (0, 1, 2) or code and out.exists():
+                    failures.append((path, bad, command, code))
+                elif code == 0:
+                    for report in out.glob("*.json"):
+                        json.loads(report.read_text(encoding="utf-8"), parse_constant=_no_constant)
+                    shutil.rmtree(out)
+    assert failures == []

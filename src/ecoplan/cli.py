@@ -24,8 +24,9 @@ from typing import Any, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
-    PLATFORMS, DatasetError, ScoreWeights, ValidationError, _check_keys, _fields_of, _from_dict,
-    _read_json_object, _require_finite, load_dataset, weights_from_dict,
+    _REAL, PLATFORMS, DatasetError, ScoreWeights, ValidationError, _check_keys, _fields_of,
+    _from_dict, _read_json_object, _require_finite, _require_number, load_dataset,
+    weights_from_dict,
 )
 
 CONFIG_SCHEMA_VERSION = "1"
@@ -50,7 +51,7 @@ _CONFIG: dict[str, tuple[tuple[str, Any, Any], ...]] = {
         ("fabric_budget", _SECTION, None),
         ("partition_method", ("greedy", "exact"), "greedy"),
         ("output_dir", str, "out"),
-        ("formats", _STRINGS, report_mod.FORMATS),
+        ("formats", _STRINGS, list(report_mod.FORMATS)),
         ("carbon", _SECTION, None),
         ("compare", _SECTION, {}),
         ("aging", _SECTION, None),
@@ -314,8 +315,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     if args.command == "score":
         files = cmd_score(config, formats)
     elif args.command == "partition":
-        if args.capacity is not None and args.capacity <= 0:
-            raise ValidationError(f"--capacity must be > 0, got {args.capacity}")
+        if args.capacity is not None:  # FabricBudget checks it too, but names no flag
+            _require_number(args.capacity, _REAL, 0, True, None, "--capacity")
         files = cmd_partition(config, formats, args.method, args.capacity)
     elif args.command == "carbon":
         files = cmd_carbon(config, formats)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .model import Dataset, ValidationError, _require_finite
+from .model import _REAL, Dataset, ValidationError, _require_number
 from .scoring import ScoreCard, rank_cards
 
 EXACT_SIZE_LIMIT = 32
@@ -34,8 +34,7 @@ class FabricBudget:
     capacity: float
 
     def __post_init__(self) -> None:
-        if _require_finite(self.capacity, "budget error: capacity") <= 0:
-            raise ValidationError(f"budget error: capacity must be > 0, got {self.capacity}")
+        _require_number(self.capacity, _REAL, 0, True, None, "budget error: capacity")
 
 
 @dataclass(frozen=True)

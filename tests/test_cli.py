@@ -456,6 +456,7 @@ class TestConfigStrictness:
 
 # One bad value of each JSON kind and edge, for every key path of the demo config
 BAD_VALUES = (None, True, 0, -1, 1.5, 1e308, 10**400, "x", "", [], [5], {}, {"x": 1})
+ABSENT = object()  # in the sweep: the key or list entry is deleted
 COMMANDS = ("score", "partition", "carbon", "compare", "aging")
 # the subcommands that read what lies below each top-level section (others: all)
 READERS = {"weights": ("score", "partition"), "fabric_budget": ("partition",),
@@ -475,18 +476,22 @@ def _no_constant(name):
 
 
 def test_config_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path, demo_config_text):
-    """Each bad value at each key path: exit 0, 1 or 2 from every subcommand
-    that reads it, no files after an error, and strict JSON after a success."""
+    """Each bad value, or none, at each key path: exit 0, 1 or 2 from every
+    subcommand that reads it, no files after an error, and strict JSON after a
+    success."""
     out = tmp_path / "o"
     failures = []
     for path in key_paths(json.loads(demo_config_text)):
         commands = COMMANDS if len(path) == 1 else READERS.get(path[0], COMMANDS)
-        for bad in BAD_VALUES:
+        for bad in BAD_VALUES + (ABSENT,):
             def mutate(raw):
                 node = raw
                 for key in path[:-1]:
                     node = node[key]
-                node[path[-1]] = bad
+                if bad is ABSENT:
+                    node.pop(path[-1])
+                else:
+                    node[path[-1]] = bad
 
             config = write_config(mutate)
             for command in commands:
@@ -498,3 +503,39 @@ def test_config_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path, d
                         json.loads(report.read_text(encoding="utf-8"), parse_constant=_no_constant)
                     shutil.rmtree(out)
     assert failures == []
+
+
+# The optional keys of the demo config, and the subcommand that has nothing to
+# run without that key (all others run on the key's default)
+OPTIONAL = {"schema_version": None, "normalize_piracy": None, "fabric_budget": "partition",
+            "fabric_budget capacity": "partition", "partition_method": None,
+            "output_dir": None, "formats": None, "carbon": "carbon", "compare": None,
+            "aging": "aging", "carbon anchor_lifetime_years": None,
+            "carbon reduction_designs": None, "carbon reduction_scenario": None,
+            "compare ours": None, "compare baseline": None, "aging temperature_c": "aging",
+            "aging regions": "aging", "aging blocks": "aging"}
+
+
+@pytest.mark.parametrize("key", OPTIONAL)
+def test_absent_optional_key_takes_its_default(write_config, tmp_path, capsys, key):
+    *section, name = key.split()
+
+    def drop(raw):
+        node = raw
+        for part in section:
+            node = node[part]
+        del node[name]
+
+    config = write_config(drop)
+    for command in COMMANDS:
+        out = tmp_path / command
+        code = run_cli(command, "--config", config, "--out", out)
+        assert code == (1 if command == OPTIONAL[key] else 0), capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+
+def test_absent_regions_and_blocks_skip_the_remap(write_config, tmp_path):
+    config = write_config(lambda raw: [raw["aging"].pop(k) for k in ("regions", "blocks")])
+    out = tmp_path / "o"
+    assert run_cli("aging", "--config", config, "--out", out) == 0
+    assert "remap" not in json.loads((out / "aging.json").read_text())

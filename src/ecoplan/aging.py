@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import _REAL, ValidationError, _require_finite, _require_number, _require_text
+from .model import _REAL, ValidationError, _require_finite, _require_number, _require_text, _scaled
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,6 @@ def min_slack(
     return worst
 
 
-def _check_loads(
-    blocks: Sequence[LogicBlock],
-    assignment: Mapping[str, str],
-    index: Mapping[str, FabricRegion],
-) -> None:
-    loads: dict[str, float] = {rid: 0.0 for rid in index}
-    for block in blocks:
-        loads[assignment[block.id]] += block.size
-    for rid, load in loads.items():
-        if load > index[rid].capacity:
-            raise ValidationError(
-                f"region {rid!r} overloaded: {load} assigned against capacity "
-                f"{index[rid].capacity}"
-            )
-
-
 def remap(
     blocks: Sequence[LogicBlock],
     regions: Sequence[FabricRegion],
@@ -170,7 +154,8 @@ def remap(
     Greedy: blocks in decreasing size order are placed into the healthiest
     region with remaining capacity. If the greedy layout does not improve the
     minimum effective slack, or cannot place every block, the original
-    assignment is returned unchanged.
+    assignment is returned unchanged. Sizes and capacities are compared as
+    exact integers, so neither the plan nor an error depends on block order.
     """
     if not blocks:
         raise ValidationError("need at least one block")
@@ -185,27 +170,32 @@ def remap(
             raise ValidationError(
                 f"block {block.id!r} currently assigned to unknown region {block.region!r}"
             )
-    _check_loads(blocks, current, index)
-
-    if sum(b.size for b in blocks) > sum(r.capacity for r in index.values()):
-        raise ValidationError(
-            "infeasible capacity: total block size exceeds total region capacity"
-        )
+    sizes = _scaled([b.size for b in blocks] + [r.capacity for r in index.values()])
+    size_of = dict(zip(ids, sizes))
+    capacity_of = dict(zip(index, sizes[len(ids):]))
+    load = dict.fromkeys(index, 0)
+    for block in blocks:
+        load[block.region] += size_of[block.id]
+    for rid, region in index.items():
+        # every block sits in a region, so no total can exceed the total capacity either
+        if load[rid] > capacity_of[rid]:
+            raise ValidationError(
+                f"region {rid!r} overloaded: the exact sum of its block sizes exceeds "
+                f"its capacity {region.capacity}"
+            )
 
     before = min_slack(current, regions, base_curve, temp)
 
-    remaining = {rid: region.capacity for rid, region in index.items()}
     by_health = sorted(index.values(), key=lambda r: (-r.health_factor, r.id))
     candidate: dict[str, str] = {}
     for block in sorted(blocks, key=lambda b: (-b.size, b.id)):
-        target = next(
-            (r.id for r in by_health if remaining[r.id] >= block.size), None
-        )
+        size = size_of[block.id]
+        target = next((r.id for r in by_health if capacity_of[r.id] >= size), None)
         if target is None:
             return RemapPlan(assignment=dict(current), min_slack_before=before,
                              min_slack_after=before)
         candidate[block.id] = target
-        remaining[target] -= block.size
+        capacity_of[target] -= size
 
     after = min_slack(candidate, regions, base_curve, temp)
     if after >= before:

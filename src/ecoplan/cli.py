@@ -183,7 +183,11 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
         raise ValidationError("config has no 'carbon' section")
     section = config.carbon
     base_keys = [f for f in _fields_of(carbon_mod.CarbonParams)[0] if f not in _CARBON_DERIVED]
-    base_raw = _check_keys(section["base"], base_keys, "carbon base")
+    base = carbon_mod.CarbonParams(
+        lifetime_hours=section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR,
+        e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
+        **_check_keys(section["base"], base_keys, "carbon base"),
+    )
     sweep_raw = section["sweep"]
     spec = carbon_mod.SweepSpec(tuple(sweep_raw["lifetimes_years"]), tuple(sweep_raw["volumes"]),
                                 sweep_raw["fixed_lifetime_for_volume_sweep_years"])
@@ -204,11 +208,6 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
                 )
             anchor_kg = _require_finite(
                 platform_anchors[platform], f"carbon anchors {design_id!r} {platform}"
-            )
-            base = carbon_mod.CarbonParams(
-                lifetime_hours=section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR,
-                e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
-                **base_raw,
             )
             calibrated = carbon_mod.calibrated_params(anchor_kg, base)
             platform_reports[platform] = carbon_mod.sweep(spec, calibrated, design_id, platform)

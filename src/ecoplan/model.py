@@ -100,6 +100,13 @@ def _require_text(value: Any, what: str, *args: Any) -> str:
     return value
 
 
+def _scaled(values: Sequence[float]) -> list[int]:
+    """Exact integer numerators over one shared power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominator = max(d for _, d in ratios)  # powers of two: the max is a multiple of all
+    return [num * (denominator // d) for num, d in ratios]
+
+
 def _check_keys(
     raw: Any, allowed: Sequence[str] | None, where: str, required: Sequence[str] = ()
 ) -> Mapping[str, Any]:
@@ -213,7 +220,8 @@ class ScoreWeights:
     ``alpha``..``delta`` weight the four sub-scores (adaptability, piracy
     threat, performance tolerance, resource fit); ``mu``, ``nu``, ``xi``
     weight the piracy-threat sub-metrics (confidentiality, exposure,
-    redaction). Each vector must sum to 1; use :func:`validate_weights`.
+    redaction). Both vectors are checked by :func:`validate_weights` when the
+    weights are built, so an instance always holds valid weights.
     """
 
     alpha: float
@@ -224,6 +232,9 @@ class ScoreWeights:
     nu: float
     xi: float
 
+    def __post_init__(self) -> None:
+        validate_weights(self)
+
     @classmethod
     def default(cls) -> "ScoreWeights":
         """Security-leaning default: (0.25, 0.35, 0.20, 0.20) / (0.5, 0.3, 0.2)."""
@@ -233,7 +244,8 @@ class ScoreWeights:
 def validate_weights(weights: ScoreWeights) -> ScoreWeights:
     """Check both weight vectors: components in [0, 1], sums equal to 1.
 
-    Returns the weights unchanged on success so call sites can chain.
+    The one statement of the weight rules; every :class:`ScoreWeights` runs
+    it when built. Returns the weights unchanged on success.
     Raises ValidationError naming the offending component or vector.
     """
     for fname in _fields_of(ScoreWeights)[0]:
@@ -413,5 +425,5 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def weights_from_dict(raw: Mapping[str, Any]) -> ScoreWeights:
-    """Build and validate ScoreWeights from a mapping with the seven keys."""
-    return validate_weights(_from_dict(ScoreWeights, raw, "weights"))
+    """ScoreWeights from a mapping with exactly the seven keys."""
+    return _from_dict(ScoreWeights, raw, "weights")

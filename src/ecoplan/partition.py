@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .model import _REAL, Dataset, ValidationError, _require_number
+from .model import _REAL, Dataset, ValidationError, _require_number, _scaled
 from .scoring import ScoreCard, rank_cards
 
 EXACT_SIZE_LIMIT = 32
@@ -46,13 +46,6 @@ class PartitionPlan:
     used_area: float
     total_score: float
     method: str
-
-
-def _scaled(values: Sequence[float]) -> list[int]:
-    """Exact integer numerators over one shared power-of-two denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    denominator = max(d for _, d in ratios)  # powers of two: the max is a multiple of all
-    return [num * (denominator // d) for num, d in ratios]
 
 
 def _align(cards: Sequence[ScoreCard], dataset: Dataset) -> list[ScoreCard]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .model import Dataset, ScoreWeights, validate_weights
+from .model import Dataset, ScoreWeights
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,9 @@ def exposure(io_control_nets: int, internal_nets_and_state: int) -> float:
 
 
 def redaction_ratio(mapped: float, total: float) -> float:
-    """Fraction of the IP's logic that can be moved into the fabric."""
+    """Fraction of the IP's logic that can be moved into the fabric; the two
+    amounts are compared as floats, as :class:`ecoplan.model.IpProfile` does."""
+    mapped, total = float(mapped), float(total)
     if total <= 0:
         raise ValueError("total logic must be > 0")
     if not 0 <= mapped <= total:
@@ -87,13 +89,6 @@ def piracy_threat(
     The exposure ratio is clamped to 1 at this combination point only, so the
     raw ratio stays available for reporting.
     """
-    return _piracy_threat(confidentiality, exposure_ratio, redaction, validate_weights(weights))
-
-
-def _piracy_threat(
-    confidentiality: float, exposure_ratio: float, redaction: float, weights: ScoreWeights
-) -> float:
-    """:func:`piracy_threat` with weights the caller has validated."""
     if not 0.0 <= confidentiality <= 1.0:
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
     if not 0.0 <= redaction <= 1.0:
@@ -142,20 +137,6 @@ def composite(
     weights: ScoreWeights,
 ) -> float:
     """Convex combination alpha*A + beta*O + gamma*P + delta*R."""
-    return _composite(
-        adaptability_score, piracy_score, performance_score, resource_score,
-        validate_weights(weights),
-    )
-
-
-def _composite(
-    adaptability_score: float,
-    piracy_score: float,
-    performance_score: float,
-    resource_score: float,
-    weights: ScoreWeights,
-) -> float:
-    """:func:`composite` with weights the caller has validated."""
     subs = (adaptability_score, piracy_score, performance_score, resource_score)
     for name, value in zip(("adaptability", "piracy", "performance", "resource"), subs):
         if not 0.0 <= value <= 1.0:
@@ -204,7 +185,6 @@ def score_dataset(
     because the weighted combination alone cannot reach 1.0 for typical
     in-range inputs.
     """
-    weights = validate_weights(weights)
     ips = dataset.ips
     max_loc = max(ip.loc_changed for ip in ips)
     areas = [ip.area for ip in ips]
@@ -213,7 +193,7 @@ def score_dataset(
     expo = [exposure(ip.io_control_nets, ip.internal_nets_and_state) for ip in ips]
     redact = [redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic) for ip in ips]
     piracy = list(map(
-        _piracy_threat, [ip.confidentiality_risk for ip in ips], expo, redact, repeat(weights)
+        piracy_threat, [ip.confidentiality_risk for ip in ips], expo, redact, repeat(weights)
     ))
     if normalize_piracy:
         top = max(piracy)
@@ -237,9 +217,8 @@ def _cards(
     fit: Sequence[float], weights: ScoreWeights, *raw: Sequence[float],
 ) -> list[ScoreCard]:
     """Unranked cards from one column per sub-score, plus the exposure and
-    redaction columns as ``raw`` when built from raw inputs; ``weights``
-    validated by the caller."""
-    composites = list(map(_composite, adapt, piracy, perf, fit, repeat(weights)))
+    redaction columns as ``raw`` when built from raw inputs."""
+    composites = list(map(composite, adapt, piracy, perf, fit, repeat(weights)))
     normalized = normalize_composites(composites)
     return list(map(ScoreCard, ids, adapt, piracy, perf, fit, composites, normalized, *raw))
 
@@ -252,7 +231,6 @@ def score_from_subscores(
     Useful for verifying published score tables without the raw inputs.
     Without areas, ranking ties are broken by id alone.
     """
-    weights = validate_weights(weights)
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one sub-score row")

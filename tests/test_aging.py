@@ -215,6 +215,25 @@ class TestRemap:
         with pytest.raises(ValidationError):
             remap(blocks, regions, simple_curve, 25.0)
 
+    @pytest.mark.parametrize("capacity", [0.6, 0.6000000000000001, 0.7])
+    def test_block_order_changes_neither_plan_nor_error(self, simple_curve, capacity):
+        # as floats, 0.1 + 0.2 + 0.3 is 0.6000000000000001 but 0.3 + 0.2 + 0.1 is 0.6;
+        # the exact sum lies between the two
+        regions = [FabricRegion("r", capacity, 0.5), FabricRegion("ok", 1.0, 1.0)]
+        outcomes = set()
+        for sizes in itertools.permutations([0.1, 0.2, 0.3]):
+            blocks = [LogicBlock(f"b{size}", size, "r") for size in sizes]
+            try:
+                plan = remap(blocks, regions, simple_curve, 25.0)
+            except ValidationError as exc:
+                outcomes.add(str(exc))
+            else:
+                outcomes.add((tuple(sorted(plan.assignment.items())), plan.min_slack_after))
+        assert len(outcomes) == 1
+        if capacity == 0.6:
+            assert outcomes == {"region 'r' overloaded: the exact sum of its block sizes "
+                                "exceeds its capacity 0.6"}
+
     def test_capacity_respected_in_candidate(self, simple_curve):
         regions = [FabricRegion("good", 4.0, 1.0), FabricRegion("ok", 10.0, 0.9)]
         blocks = [

@@ -505,6 +505,41 @@ def test_config_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path, d
     assert failures == []
 
 
+# The bad values of the config sweep, plus the edges of the dataset's numbers and maps
+BAD_IP_VALUES = BAD_VALUES + (2**53 + 1, {"gpu": 1}, {"asic": -1}, {"asic": 1e308})
+
+
+def test_dataset_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path):
+    """Each bad value, or none, at each IP field of the demo dataset, in IP 0
+    and in every IP: exit 0, 1 or 2 from each subcommand that loads the
+    dataset, no files after an error, and strict JSON after a success."""
+    demo = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+    dataset = tmp_path / "dataset.json"
+    config = write_config(lambda raw: raw.update(dataset=str(dataset)))
+    out = tmp_path / "o"
+    failures = []
+    for field in sorted({key for ip in demo["ips"] for key in ip}):
+        for bad in BAD_IP_VALUES + (ABSENT,):
+            for count in (1, len(demo["ips"])):
+                raw = json.loads(json.dumps(demo))
+                for ip in raw["ips"][:count]:
+                    if bad is ABSENT:
+                        ip.pop(field, None)
+                    else:
+                        ip[field] = bad
+                dataset.write_text(json.dumps(raw), encoding="utf-8")
+                for command in ("score", "partition", "compare"):
+                    code = run_cli(command, "--config", config, "--out", out)
+                    if code not in (0, 1, 2) or code and out.exists():
+                        failures.append((field, bad, count, command, code))
+                    elif code == 0:
+                        for report in out.glob("*.json"):
+                            json.loads(report.read_text(encoding="utf-8"),
+                                       parse_constant=_no_constant)
+                        shutil.rmtree(out)
+    assert failures == []
+
+
 # The optional keys of the demo config, and the subcommand that has nothing to
 # run without that key (all others run on the key's default)
 OPTIONAL = {"schema_version": None, "normalize_piracy": None, "fabric_budget": "partition",

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoplan import model
+from ecoplan.cli import main
+from ecoplan.fixtures import fixture_path
 from ecoplan.model import (
     Dataset,
     IpProfile,
@@ -207,6 +209,17 @@ class TestIpMessages:
         ip = build_ip(ip_entry_dict(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4))
         assert ip.logic_mapped_to_efpga == 2.0**53 + 4
 
+    @pytest.mark.parametrize("command", ["score", "partition"])
+    def test_mapped_equal_to_total_as_floats_scores(self, tmp_path, demo_config, command):
+        # loading compares the two as floats, so scoring must too
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        raw["ips"][0].update(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4)
+        dataset = tmp_path / "d.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**demo_config, "dataset": str(dataset)}), encoding="utf-8")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
 
 class TestWeights:
     def test_default_weights_validate(self):
@@ -223,6 +236,12 @@ class TestWeights:
     def test_out_of_range_component_rejected(self):
         with pytest.raises(ValidationError, match="beta"):
             validate_weights(ScoreWeights(0.5, -0.1, 0.3, 0.3, 0.5, 0.3, 0.2))
+
+    def test_weights_check_themselves_when_built(self):
+        with pytest.raises(ValidationError, match="alpha\\+beta\\+gamma\\+delta"):
+            ScoreWeights(0.3, 0.3, 0.3, 0.3, 0.5, 0.3, 0.2)
+        with pytest.raises(ValidationError, match="weight 'beta' must lie in"):
+            replace(ScoreWeights.default(), beta=-0.1)
 
     def test_weights_from_dict_strict(self):
         with pytest.raises(ValidationError, match="unknown key"):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +259,12 @@ class TestValidatePlan:
         plan = plan_greedy(cards, six_ip_dataset, budget)
         with pytest.raises(ValidationError, match="capacity error"):
             validate_plan(plan, six_ip_dataset, FabricBudget(plan.used_area / 2))
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.DOTALL).group(1)
+    namespace: dict = {}
+    exec(example, namespace)
+    # compare sets: the order in a frozenset's repr depends on the hash seed
+    assert namespace["plan"].efpga_ips == {"d1", "d2"}

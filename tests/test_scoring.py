@@ -95,8 +95,8 @@ class TestPiracyThreat:
         assert piracy_threat(0.0, 5.0, 0.0, W) == pytest.approx(W.nu, abs=1e-15)
 
     def test_invalid_weights_propagate(self):
-        bad = ScoreWeights(0.3, 0.3, 0.3, 0.3, 0.5, 0.3, 0.2)
         with pytest.raises(ValueError):
+            bad = ScoreWeights(0.3, 0.3, 0.3, 0.3, 0.5, 0.3, 0.2)
             piracy_threat(0.5, 0.5, 0.5, bad)
 
 

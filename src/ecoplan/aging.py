@@ -198,6 +198,6 @@ def remap(
         capacity_of[target] -= size
 
     after = min_slack(candidate, regions, base_curve, temp)
-    if after >= before:
+    if after > before:
         return RemapPlan(assignment=candidate, min_slack_before=before, min_slack_after=after)
     return RemapPlan(assignment=dict(current), min_slack_before=before, min_slack_after=before)

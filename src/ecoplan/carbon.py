@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .model import _INT, _REAL, ValidationError, _require_finite, _require_number
@@ -90,6 +91,25 @@ class SweepSpec:
             _require_number(volume, _INT, 1, False, None, "carbon sweep volumes")
         _require_number(self.fixed_lifetime_for_volume_sweep_years, _REAL, 0, True, None,
                         "carbon sweep fixed_lifetime_for_volume_sweep_years")
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[Scenario, ...], list[float], float, list[int]]:
+        """The cell keys in sweep order, each lifetime in hours, the volume
+        sweep's lifetime in hours, and the volumes: worked out by the first
+        :func:`sweep` of this spec, which raises if a lifetime in hours is not
+        finite, and shared by every later one."""
+        lifetime_hours = [
+            _require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
+            for years in self.lifetimes_years
+        ]
+        fixed_hours = _require_finite(
+            self.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR, "lifetime_hours"
+        )
+        keys = (
+            *(Scenario("lifetime_years", float(years)) for years in self.lifetimes_years),
+            *(Scenario("volume", float(volume)) for volume in self.volumes),
+        )
+        return keys, lifetime_hours, fixed_hours, [int(volume) for volume in self.volumes]
 
 
 @dataclass(frozen=True)
@@ -180,22 +200,15 @@ def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) ->
     is ``deploy_carbon`` of ``base`` with that volume and lifetime, computed
     without building its params: the spec already holds positive lifetimes
     and volumes, so what can still fail is a lifetime in hours or a cell that
-    overflows to infinity (a huge anchor rate times a long lifetime).
+    overflows to infinity (a huge anchor rate times a long lifetime). The
+    cell keys and lifetimes in hours are worked out once per spec, not once
+    per design and platform.
     """
+    keys, lifetime_hours, fixed_hours, volumes = spec._grid
     app_dev = app_dev_carbon(base)
-    cells: dict[Scenario, float] = {}
-    for years in spec.lifetimes_years:
-        hours = _require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
-        cells[Scenario("lifetime_years", float(years))] = (
-            _runtime_carbon(base, base.n_vol, hours) + app_dev
-        )
-    hours = _require_finite(
-        spec.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR, "lifetime_hours"
-    )
-    for volume in spec.volumes:
-        cells[Scenario("volume", float(volume))] = (
-            _runtime_carbon(base, int(volume), hours) + app_dev
-        )
+    values = [_runtime_carbon(base, base.n_vol, hours) + app_dev for hours in lifetime_hours]
+    values += [_runtime_carbon(base, volume, fixed_hours) + app_dev for volume in volumes]
+    cells = dict(zip(keys, values))
     _finite(cells, f"carbon of design {design_id!r} on {platform}")
     return CarbonReport(design_id=design_id, platform=platform, cells=cells)
 

@@ -359,7 +359,8 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
                 values = [v for v in values if v is not None]
             if not _column_ok(values, types, low, strict, high):
                 return None
-        if not all(map(le, columns["logic_mapped_to_efpga"], columns["total_logic"])):
+        mapped = map(float, columns["logic_mapped_to_efpga"])
+        if not all(map(le, mapped, map(float, columns["total_logic"]))):  # as IpProfile does
             return None
         maps = [m for name in _IP_MAPS for m in columns[name] if m is not None]
         if set(map(type, maps)) - {dict} or not all(

@@ -8,16 +8,21 @@ literal text). The single renderer ``_render`` writes each requested format.
 Report files are deterministic: keys are sorted, row order is fixed by the
 pipeline, no timestamps are embedded, and every floating-point value is
 printed with 4 significant digits (internal math stays full precision).
-Writes are staged through temp files so a failing command never leaves a
-partial report behind.
+Writes are staged through temp files, under names that no other run can be
+using, so a failing command never leaves a partial report behind.
 
-A declared table (``_Table``) holds its cells by column and converts each
-column once per output kind. For CSV and markdown every cell becomes its
-``fmt`` text, and a markdown table cut from the CSV table (``table[1:8]``)
-reuses those strings. A table placed in a JSON payload stands for its list
-of records, one object per row keyed by the headers: the keys are sorted
-once into a row template, each column becomes JSON literals in one pass, and
-every record is that template filled with its row's literals.
+A declared table (``_Table``) holds its cells by column, and each cell is
+converted once. A float column is formatted once with ``{:.4g}``: that text
+serves CSV and markdown, and its JSON literal is the repr of the text read
+back, which is the repr of ``round4``. A str column is its own text, and its
+JSON literal is encoded once per distinct value. A markdown table cut from
+the CSV table (``table[1:8]``) reuses the same text. A table placed in a JSON
+payload stands for its list of records, one object per row keyed by the
+headers: the array is one join of a flat list filled a column at a time.
+A CSV table whose cells need no quoting is its rows joined by commas, which
+is what the stdlib ``csv`` writer writes for it; any other table is written
+by that writer, imported only then, so quoting follows the running
+interpreter's ``csv`` module.
 
 ``_encode`` is the only JSON writer. Its output is byte for byte what
 ``json.dumps(payload, indent=2, sort_keys=True)`` gives once every float is
@@ -30,11 +35,11 @@ the render time. The tests compare ``_encode`` with that stdlib dump.
 from __future__ import annotations
 
 import copy
-import csv
 import io
 import math
 import os
 from dataclasses import dataclass
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
@@ -84,28 +89,40 @@ class _Table:
         self._picks = range(len(self.headers))
         self._text: list[Sequence[str] | None] = [None] * len(self.headers)
 
+    @classmethod
+    def by_column(cls, headers: Sequence[Any], columns: Sequence[Sequence[Any]]) -> _Table:
+        """The table whose columns are ``columns``, one per header, all of one length."""
+        table = cls(headers, ())
+        table._columns = list(columns)
+        table.size = len(table._columns[0])
+        return table
+
     def __getitem__(self, cut: slice) -> _Table:
         view = copy.copy(self)
         view.headers, view._picks = self.headers[cut], self._picks[cut]
         return view
 
-    def columns(self) -> list[Sequence[Any]]:
-        return [self._columns[i] for i in self._picks]
+    def text(self, i: int) -> Sequence[str]:
+        """The ``fmt`` text of every cell of column ``i`` (of the uncut table)."""
+        text = self._text[i]
+        if text is None:
+            text = self._text[i] = _text_column(self._columns[i])
+        return text
 
     def text_rows(self) -> Iterator[tuple[str, ...]]:
         if not self._picks:
             return iter([()] * self.size)
-        for i in self._picks:
-            if self._text[i] is None:
-                self._text[i] = _text_column(self._columns[i])
-        return zip(*(self._text[i] for i in self._picks))
+        return zip(*map(self.text, self._picks))
 
 
 def _text_column(values: Sequence[Any]) -> Sequence[str]:
-    """``fmt`` of every value; all-float and all-str/int columns skip the per-cell call."""
+    """``fmt`` of every value; an all-str column is its own text, and all-float
+    and all-str/int columns skip the per-cell call."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return list(map(_FORMAT4, values))
+    if kinds == {str}:
+        return values
     if kinds <= {str, int}:
         return list(map(str, values))
     return list(map(fmt, values))
@@ -127,31 +144,59 @@ def _key(key: Any) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_column(values: Sequence[Any], depth: int) -> list[str]:
-    """The JSON literal of every value; all-float and all-str columns are mapped in one pass."""
+def _json_column(table: _Table, i: int, depth: int) -> list[str]:
+    """The JSON literal of every value of column ``i``.
+
+    A float's literal is the repr of its ``fmt`` text read back, which is the
+    repr of ``round4``: the text that the CSV and markdown files use is made
+    once, and each distinct text is read back at most once. A str column
+    encodes each distinct value once."""
+    values = table._columns[i]
     kinds = set(map(type, values))
     if kinds == {float}:
-        text = list(map(float.__repr__, map(float, map(_FORMAT4, values))))
-        return list(map(_NON_FINITE.get, text, text))
+        text = table.text(i)
+        distinct = set(text)
+        # Fixed-point text with a point is already the repr of its double: it
+        # has at most 4 significant digits and lies in [1e-4, 1e4), where no
+        # shorter decimal names the same double.
+        literals = {t: t for t in distinct if "." in t and "e" not in t}
+        rest = distinct.difference(literals)
+        reprs = map(float.__repr__, map(float, rest))  # "1.798e+308" reads back as inf
+        literals.update(zip(rest, [_NON_FINITE.get(r, r) for r in reprs]))
+        return list(map(literals.__getitem__, text))
     if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
+        distinct = set(values)
+        literals = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+        return list(map(literals.__getitem__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
     return [_encode(value, depth) for value in values]
 
 
-def _records(table: _Table, depth: int) -> list[str]:
-    """Each row of ``table`` as a JSON object ``depth`` levels deep."""
-    fields = sorted({header: i for i, header in enumerate(table.headers)}.items())
+def _records(table: _Table, depth: int) -> str:
+    """``table`` as a JSON array ``depth`` levels deep of one object per row.
+
+    The array is one join of a flat list that holds, row after row, the cells
+    in key order and before each the text that leads up to it: brackets,
+    commas, indentation and the key. That list is filled a column at a time.
+    """
+    if not table.size:
+        return "[]"
+    outer = "\n" + "  " * (depth + 1)
+    inner = outer + "  "
+    fields = sorted(dict(zip(table.headers, table._picks)).items())  # the last of equal headers
     if not fields:
-        return ["{}"] * table.size
-    pad = "\n" + "  " * (depth + 1)
-    template = (
-        "{" + pad
-        + ("," + pad).join(_key(header).replace("%", "%%") + ": %s" for header, _ in fields)
-        + pad[:-2] + "}"
-    )
-    columns = table.columns()
-    cells = [_json_column(columns[i], depth + 1) for _, i in fields]
-    return list(map(template.__mod__, zip(*cells)))
+        return "[" + outer + ("," + outer).join(["{}"] * table.size) + outer[:-2] + "]"
+    keys = [_key(header) + ": " for header, _ in fields]
+    leads = ["," + inner + key for key in keys]
+    leads[0] = outer + "}," + outer + "{" + inner + keys[0]  # closes the row before
+    width, size = 2 * len(fields), table.size
+    flat: list[str] = [""] * (width * size)
+    for j, (lead, (_, i)) in enumerate(zip(leads, fields)):
+        flat[2 * j::width] = [lead] * size
+        flat[2 * j + 1::width] = _json_column(table, i, depth + 2)
+    flat[0] = "[" + outer + "{" + inner + keys[0]
+    return "".join(flat) + outer + "}" + outer[:-2] + "]"
 
 
 def _encode(value: Any, depth: int) -> str:
@@ -176,13 +221,12 @@ def _encode(value: Any, depth: int) -> str:
         items = (f"{_key(k)}: {_encode(v, depth + 1)}" for k, v in sorted(value.items()))
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
     if isinstance(value, _Table):
-        items = _records(value, depth + 1)
-    elif isinstance(value, (list, tuple)):
-        items = [_encode(item, depth + 1) for item in value]
-    else:
+        return _records(value, depth)
+    if not isinstance(value, (list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
+    if not value:
         return "[]"
+    items = (_encode(item, depth + 1) for item in value)
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
@@ -191,6 +235,24 @@ def render_json(payload: Any) -> str:
 
 
 def _csv(table: _Table) -> str:
+    """The table as ``csv.writer`` writes it with ``lineterminator="\\n"``.
+
+    A table of two or more columns whose text holds none of the characters
+    that the writer quotes (or, before Python 3.11, rejects) is its rows joined
+    as they are; the count of separators shows whether a cell held one.
+    """
+    lines = [",".join(table.headers), *map(",".join, table.text_rows())]
+    text = "\n".join(lines) + "\n"
+    width = len(table.headers)
+    if (
+        width >= 2
+        and text.count(",") == len(lines) * (width - 1)
+        and text.count("\n") == len(lines)
+        and not any(char in text for char in '"\r\0')
+    ):
+        return text
+    import csv  # only a cell that needs quoting, or a one-column table, gets here
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.headers)
@@ -199,12 +261,10 @@ def _csv(table: _Table) -> str:
 
 
 def _markdown(table: _Table) -> str:
-    lines = [
-        "| " + " | ".join(table.headers) + " |",
-        "|" + "|".join("---" for _ in table.headers) + "|",
-    ]
-    lines += ["| " + " | ".join(row) + " |" for row in table.text_rows()]
-    return "\n".join(lines) + "\n"
+    head = "| " + " | ".join(table.headers) + " |\n|" + "|".join("---" for _ in table.headers)
+    if not table.size:
+        return head + "|\n"
+    return head + "|\n| " + " |\n| ".join(map(" | ".join, table.text_rows())) + " |\n"
 
 
 def render_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -249,18 +309,26 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
     """Atomically materialize the rendered files in ``out_dir``.
 
     Content is staged into temp files first and renamed only after every
-    stage write succeeded, so an error cannot leave partial outputs.
+    stage write succeeded, so an error cannot leave partial outputs. Each
+    call stages under names of its own, so runs that share ``out_dir`` never
+    write, rename or remove each other's temp files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
         for name, text in files.items():
-            final = out / name
-            tmp = out / f".{name}.tmp"
-            tmp.write_text(text, encoding="utf-8")
-            staged.append((tmp, final))
-    except OSError:
+            for attempt in count():  # O_EXCL: a name no other writer is using
+                tmp = out / f".{name}.{os.getpid()}-{attempt}.tmp"
+                try:
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    pass
+            staged.append((tmp, out / name))
+            with open(fd, "w", encoding="utf-8") as stream:
+                stream.write(text)
+    except BaseException:  # an encoding error too; the error is raised again
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
@@ -336,20 +404,23 @@ def _scenario_sort_key(scenario: Scenario) -> tuple[int, float]:
     return (0 if scenario.kind == "lifetime_years" else 1, scenario.value)
 
 
-def carbon_rows(reports: Sequence[CarbonReport]) -> list[list[Any]]:
-    rows: list[list[Any]] = []
+def _carbon_table(reports: Sequence[CarbonReport]) -> _Table:
+    """One row per cell of each report, built by column: the cells of a
+    report in scenario order, sorted once per distinct key order."""
+    design, platform, kind, value, kg = columns = ([], [], [], [], [])
+    keys = None
     for report in reports:
-        for scenario in sorted(report.cells, key=_scenario_sort_key):
-            rows.append(
-                [
-                    report.design_id,
-                    report.platform,
-                    scenario.kind,
-                    scenario.value,
-                    report.cells[scenario],
-                ]
-            )
-    return rows
+        cells = report.cells
+        if list(cells) != keys:
+            keys = list(cells)
+            order = sorted(keys, key=_scenario_sort_key)
+            kinds, values = [s.kind for s in order], [s.value for s in order]
+        design += [report.design_id] * len(order)
+        platform += [report.platform] * len(order)
+        kind += kinds
+        value += values
+        kg += map(cells.__getitem__, order)
+    return _Table.by_column(_CARBON_HEADERS, columns)
 
 
 def carbon_report_files(
@@ -359,7 +430,7 @@ def carbon_report_files(
     reduction_designs: Sequence[str],
     formats: Sequence[str],
 ) -> dict[str, str]:
-    table = _Table(_CARBON_HEADERS, carbon_rows(reports))
+    table = _carbon_table(reports)
     reduction_rows = [
         [design_id, comparisons[design_id].mean_reduction] for design_id in sorted(comparisons)
     ]
@@ -401,21 +472,21 @@ class PlatformComparison:
     series: Sequence[tuple[str, str, str, float]]  # (metric, platform, ip_id, value)
 
 
-def _platform_metric(ip, metric: str, platform: str) -> float:
-    if metric == "frequency_ghz":
-        value = {
-            "asic": ip.f_max_asic,
-            "ecologic": ip.f_max_efpga,
-            "fpga": ip.f_max_fpga,
-        }[platform]
-    else:
-        mapping = getattr(ip, metric)
-        value = None if mapping is None else mapping.get(platform)
-    if value is None:
+_FREQUENCY_FIELDS = {"asic": "f_max_asic", "ecologic": "f_max_efpga", "fpga": "f_max_fpga"}
+
+
+def _metric_column(ips: Sequence[Any], metric: str, platform: str) -> list[float]:
+    """The ``metric`` value of every IP on ``platform``, read in one pass."""
+    field = _FREQUENCY_FIELDS[platform] if metric == "frequency_ghz" else metric
+    values = [getattr(ip, field) for ip in ips]
+    if field == metric:  # a per-platform map, which may lack the platform
+        values = [None if mapping is None else mapping.get(platform) for mapping in values]
+    if None in values:
+        ip = ips[values.index(None)]
         raise ValidationError(
             f"IP {ip.id!r} has no {metric} value for platform {platform!r}"
         )
-    return float(value)
+    return list(map(float, values))
 
 
 def _ratio(metric: str, means: Mapping[str, float], top: str, bottom: str) -> float:
@@ -440,17 +511,18 @@ def platform_comparison(
 
     aggregates: dict[str, dict[str, float]] = {}
     series: list[tuple[str, str, str, float]] = []
+    ids = [ip.id for ip in dataset.ips]
     for metric in _COMPARE_METRICS:
         per_platform: dict[str, float] = {}
         for platform in (ours, baseline):
-            values = [_platform_metric(ip, metric, platform) for ip in dataset.ips]
+            values = _metric_column(dataset.ips, metric, platform)
             try:
                 per_platform[platform] = math.fsum(values) / len(values)
             except OverflowError:
                 raise ValidationError(
                     f"{metric} values of platform {platform!r} overflow their sum"
                 ) from None
-            series.extend((metric, platform, ip.id, v) for ip, v in zip(dataset.ips, values))
+            series += [(metric, platform, ip_id, v) for ip_id, v in zip(ids, values)]
         entry = {"ours": per_platform[ours], "baseline": per_platform[baseline]}
         if metric == "power_mw":
             entry["ratio"] = _ratio(metric, per_platform, baseline, ours)

@@ -136,6 +136,7 @@ class TestRemap:
         blocks = [LogicBlock("b0", 4.0, "r0"), LogicBlock("b1", 4.0, "r1")]
         plan = remap(blocks, regions, simple_curve, 25.0)
         assert plan.min_slack_after == plan.min_slack_before
+        assert plan.assignment == {"b0": "r0", "b1": "r1"}  # no move without a gain
 
     def test_single_block_moves_to_healthy_region(self, simple_curve):
         regions = [FabricRegion("bad", 10.0, 0.4), FabricRegion("good", 10.0, 1.0)]

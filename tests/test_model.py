@@ -206,8 +206,9 @@ class TestIpMessages:
 
     def test_mapped_is_compared_with_total_as_floats(self, build_ip):
         # 2**53 + 3 rounds to 2.0**53 + 4, so the two are equal as floats
-        ip = build_ip(ip_entry_dict(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4))
-        assert ip.logic_mapped_to_efpga == 2.0**53 + 4
+        entry = ip_entry_dict(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4)
+        assert build_ip(entry).logic_mapped_to_efpga == 2.0**53 + 4
+        assert model._ips_by_column([entry]) is not None  # no fallback to the per-IP checks
 
     @pytest.mark.parametrize("command", ["score", "partition"])
     def test_mapped_equal_to_total_as_floats_scores(self, tmp_path, demo_config, command):

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
+import random
 
 import pytest
 from hypothesis import given
@@ -108,6 +111,25 @@ class TestWriteOutputs:
         assert all(p.exists() for p in written)
         assert (out / "a.txt").read_text() == "hello\n"
 
+    def test_another_runs_staging_files_are_left_alone(self, tmp_path):
+        # a run writing into the same directory, and a stale name this process could pick
+        foreign = tmp_path / ".score.json.tmp"
+        foreign.write_text("another run\n")
+        stale = tmp_path / f".score.json.{os.getpid()}-0.tmp"
+        stale.write_text("stale\n")
+        write_outputs(tmp_path, {"score.json": "ours\n"})
+        assert (tmp_path / "score.json").read_text() == "ours\n"
+        assert foreign.read_text() == "another run\n"
+        assert stale.read_text() == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["score.json", foreign.name, stale.name]
+        )
+
+    def test_failed_stage_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_outputs(tmp_path, {"a.csv": "fine\n", "b.csv": "lone \ud800 surrogate\n"})
+        assert list(tmp_path.iterdir()) == []
+
 
 # --- the encoder against the stdlib dump -----------------------------------------
 
@@ -196,6 +218,32 @@ class TestEncoderMatchesStdlib:
         )
         assert render_csv(headers, rows) == stdlib_csv(headers, rows)
         assert render_markdown_table(headers, rows) == stdlib_markdown(headers, rows)
+
+    @pytest.mark.parametrize("special", [None, ",", '"'])
+    def test_large_table_matches_the_stdlib(self, special):
+        # sizes the hypothesis tables never reach: exponent forms, non-finite
+        # floats, heavily repeated strings and floats, and a cell to quote
+        rng = random.Random(20261018)
+        headers = ("rank", "design", "platform", "value", "edge", "scenario")
+        designs = [f"d{k}" for k in range(40)]
+        # the largest double rounds to 1.798e+308, which reads back as inf
+        edges = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 99995.0, 1.7976931348623157e308
+        ]
+        rows = []
+        for rank in range(1, 3001):
+            value = rng.choice((1, -1)) * 10 ** rng.uniform(-6, 7)
+            rows.append([
+                rank, rng.choice(designs), rng.choice(("ecologic", "fpga")), value,
+                rng.choice(edges) if rank % 7 == 0 else value * 3, float(rng.randint(1, 40)),
+            ])
+        if special:
+            rows[1500][1] = f"d{special}x"
+        table = _Table(headers, rows)
+        records = [dict(zip(headers, row)) for row in rows]
+        assert render_json({"rows": table}) == stdlib_json({"rows": records})
+        assert _csv(table) == stdlib_csv(headers, rows)
+        assert _markdown(table) == stdlib_markdown(headers, rows)
 
     def test_nested_table_and_empty_containers(self):
         payload = {"a": [{"t": _Table(("y", "x"), [[1.23456, "q"]])}], "b": [], "c": {}, "d": ()}

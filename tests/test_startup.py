@@ -75,7 +75,11 @@ def test_import_cli_loads_only_model_and_report():
 )
 def test_readme_demo_command_loads_exactly_its_layers(tmp_path, argv, layers):
     config = fixture_path("demo_config.json")
-    loaded = loaded_after(RUN_MAIN, argv[0], "--config", config, "--out", tmp_path, *argv[1:])
+    # only a CSV cell that needs quoting imports csv, and no demo cell does
+    run_without_csv = f"{RUN_MAIN}\nassert 'csv' not in sys.modules, 'csv was imported'"
+    loaded = loaded_after(
+        run_without_csv, argv[0], "--config", config, "--out", tmp_path, *argv[1:]
+    )
     assert loaded == CLI_MODULES | {f"ecoplan.{layer}" for layer in layers}
     assert any(tmp_path.iterdir())
 

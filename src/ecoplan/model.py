@@ -8,15 +8,17 @@ number must also convert to a finite float.
 
 The IP number rules are one table, ``_IP_NUMBERS``. ``IpProfile.__post_init__``
 walks it to word each error; ``load_dataset`` first applies each row to a whole
-column and, when every column passes, builds the profiles without the per-IP
-walk. On any failure or doubt it takes the per-IP path, so the first error
-message is the same either way. Record keys come from the dataclasses.
+column and, when every column passes, builds the profiles a field at a time
+across all of them (``_build``), without the per-IP walk. On any failure or
+doubt it takes the per-IP path, so the first error message is the same either
+way. Record keys come from the dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from itertools import chain, repeat
@@ -94,9 +96,13 @@ def _require_finite(value: Any, what: str, *args: Any) -> float:
 
 
 def _require_text(value: Any, what: str, *args: Any) -> str:
-    """``value``, a non-empty string."""
+    """``value``, a non-empty string that encodes as UTF-8 (JSON can spell a lone surrogate)."""
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{_label(what, args)} must be a non-empty string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{_label(what, args)} must encode as UTF-8, got {value!r}") from None
     return value
 
 
@@ -188,6 +194,7 @@ class IpProfile:
         ip_id = _require_text(self.id, "IP id")
         if not isinstance(self.name, str) or not self.name:
             self._fail("name", "must be a non-empty string")
+        _require_text(self.name, _FIELD, ip_id, "name")  # that it encodes as UTF-8
         for fname, types, low, strict, high in _IP_NUMBERS:
             value = getattr(self, fname)
             if value is not None or _IP_DEFAULTS[fname] is not None:
@@ -305,6 +312,22 @@ def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(f.name for f in names), tuple(f.name for f in names if f.default is MISSING)
 
 
+def _build(cls: type, columns: Sequence[Sequence[Any]]) -> list[Any]:
+    """Instances of dataclass ``cls`` from one column per field, in field order:
+    its frozen ``__init__`` without ``__post_init__``, for checked values. Each
+    instance gets its fields in field order, and the first gets them all before
+    the rest are allocated (in CPython each allocation shrinks the room for new
+    names in the class's shared keys), so no instance needs a dict of its own."""
+    names = _fields_of(cls)[0]
+    instances = [object.__new__(cls)]
+    for name, column in zip(names, columns, strict=True):
+        object.__setattr__(instances[0], name, column[0])
+    instances += map(object.__new__, repeat(cls, len(columns[0]) - 1))
+    for name, column in zip(names, columns):
+        deque(map(object.__setattr__, instances, repeat(name), column), maxlen=0)
+    return instances
+
+
 def _from_dict(cls: type, raw: Any, where: str) -> Any:
     """``cls`` built from the JSON object ``raw``: every key must name a field
     of ``cls``, and every field without a default must be given."""
@@ -353,6 +376,7 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
         for name in ("id", "name"):
             if set(map(type, columns[name])) != {str} or not all(columns[name]):
                 return None
+            "".join(columns[name]).encode("utf-8")  # a lone surrogate raises
         for name, types, low, strict, high in _IP_NUMBERS:
             values = columns[name]
             if _IP_DEFAULTS[name] is None:
@@ -371,16 +395,7 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
             return None
     except Exception:  # noqa: BLE001 - any surprise means: take the per-IP path
         return None
-    # One profile at a time, field by field in field order, as the generated
-    # __init__ does: CPython then keeps the fields in its compact shared-key
-    # storage (allocating every profile first would give each its own dict).
-    profiles = []
-    for row in zip(*columns.values()):
-        profile = object.__new__(IpProfile)
-        for name, value in zip(_IP_DEFAULTS, row):
-            object.__setattr__(profile, name, value)  # past the frozen-field guard
-        profiles.append(profile)
-    return tuple(profiles)
+    return tuple(_build(IpProfile, list(columns.values())))
 
 
 def load_dataset(path: str | Path) -> Dataset:

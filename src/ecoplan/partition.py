@@ -48,9 +48,9 @@ class PartitionPlan:
     method: str
 
 
-def _align(cards: Sequence[ScoreCard], dataset: Dataset) -> list[ScoreCard]:
-    """Check the cards cover the dataset exactly; return them in dataset order."""
-    by_id = {c.ip_id: c for c in cards}
+def _scores(cards: Sequence[ScoreCard], dataset: Dataset) -> dict[str, float]:
+    """Check the cards cover the dataset exactly; return their composites by id."""
+    by_id = {c.ip_id: c.composite for c in cards}
     if len(by_id) != len(cards):
         raise ValidationError("coverage error: duplicate score cards")
     card_ids = set(by_id)
@@ -61,7 +61,7 @@ def _align(cards: Sequence[ScoreCard], dataset: Dataset) -> list[ScoreCard]:
         raise ValidationError(
             f"coverage error: cards do not cover the dataset (missing {missing}, extra {extra})"
         )
-    return [by_id[ip.id] for ip in dataset.ips]
+    return by_id
 
 
 def _finish_plan(
@@ -82,11 +82,11 @@ def plan_greedy(
     """Admit IPs to the fabric in rank order while they fit.
 
     Rank order is :func:`ecoplan.scoring.rank_cards`, so the plan is deterministic.
+    Cards given in that order, as ``score_dataset`` returns them, sort in one pass.
     """
-    ordered_cards = _align(cards, dataset)
-    score_by_id = {c.ip_id: c.composite for c in ordered_cards}
+    score_by_id = _scores(cards, dataset)
     area_of = {ip.id: ip.area for ip in dataset.ips}
-    ranked = rank_cards(ordered_cards, area_of)
+    ranked = rank_cards(cards, area_of)
     *areas, room = _scaled([area_of[c.ip_id] for c in ranked] + [budget.capacity])
     chosen: set[str] = set()
     for card, area in zip(ranked, areas):
@@ -117,10 +117,9 @@ def plan_exact(
         raise ValidationError(
             f"size error: exact search handles at most {EXACT_SIZE_LIMIT} IPs, got {n}"
         )
-    ordered_cards = _align(cards, dataset)
-    score_by_id = {c.ip_id: c.composite for c in ordered_cards}
+    score_by_id = _scores(cards, dataset)
     *areas, capacity = _scaled([ip.area for ip in dataset.ips] + [budget.capacity])
-    scores = _scaled([c.composite for c in ordered_cards])
+    scores = _scaled([score_by_id[ip.id] for ip in dataset.ips])
     # Weight bit n-1-r marks the id of sorted rank r. Areas are > 0, so no tied
     # set contains another, and the larger weight sum is the smaller id set.
     weight_of = {ip_id: 1 << (n - 1 - r) for r, ip_id in enumerate(sorted(dataset.ip_ids))}

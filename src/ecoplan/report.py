@@ -34,12 +34,13 @@ the render time. The tests compare ``_encode`` with that stdlib dump.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import math
 import os
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
@@ -309,14 +310,15 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
     """Atomically materialize the rendered files in ``out_dir``.
 
     Content is staged into temp files first and renamed only after every
-    stage write succeeded, so an error cannot leave partial outputs. Each
-    call stages under names of its own, so runs that share ``out_dir`` never
-    write, rename or remove each other's temp files.
+    stage write succeeded, so an error leaves no partial outputs and no
+    directory this call made. Each call stages under names of its own, so
+    runs sharing ``out_dir`` never touch each other's temp files.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    new_dirs = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
     staged: list[tuple[Path, Path]] = []
     try:
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             for attempt in count():  # O_EXCL: a name no other writer is using
                 tmp = out / f".{name}.{os.getpid()}-{attempt}.tmp"
@@ -331,6 +333,9 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
     except BaseException:  # an encoding error too; the error is raised again
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for path in new_dirs:  # deepest first; one that is no longer empty stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
         raise
     written = []
     for tmp, final in staged:
@@ -341,32 +346,17 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
 
 # --- score report -----------------------------------------------------------
 
-_SCORE_HEADERS = (
-    "rank", "design", "adaptability", "piracy_threat", "performance_tolerance",
-    "resource_fit", "composite", "normalized", "exposure", "redaction_ratio",
+_SCORE_FIELDS = (  # of a ScoreCard, in column order
+    "ip_id", "adaptability", "piracy_threat", "performance_tolerance", "resource_fit",
+    "composite", "normalized", "exposure", "redaction_ratio",
 )
-
-
-def score_rows(cards: Sequence[ScoreCard]) -> list[list[Any]]:
-    return [
-        [
-            rank,
-            card.ip_id,
-            card.adaptability,
-            card.piracy_threat,
-            card.performance_tolerance,
-            card.resource_fit,
-            card.composite,
-            card.normalized,
-            card.exposure,
-            card.redaction_ratio,
-        ]
-        for rank, card in enumerate(cards, start=1)
-    ]
+_SCORE_HEADERS = ("rank", "design", *_SCORE_FIELDS[1:])
 
 
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
-    table = _Table(_SCORE_HEADERS, score_rows(cards))
+    columns = [list(range(1, len(cards) + 1))]
+    columns += ([getattr(card, name) for card in cards] for name in _SCORE_FIELDS)
+    table = _Table.by_column(_SCORE_HEADERS, columns)
     return _render("score", formats, {"report": "score", "cards": table}, table, [table[1:8]])
 
 
@@ -464,12 +454,15 @@ class PlatformComparison:
     ratio divides baseline by ours (lower power is better) while the
     frequency ratio divides ours by baseline. Slack and area are reported as
     deltas (ours - baseline).
+
+    ``series`` is four columns, metric, platform, IP id and value: metric by
+    metric, ``ours`` then ``baseline``, each IP in dataset order.
     """
 
     ours: str
     baseline: str
     aggregates: Mapping[str, Mapping[str, float]]
-    series: Sequence[tuple[str, str, str, float]]  # (metric, platform, ip_id, value)
+    series: tuple[list[str], list[str], list[str], list[float]]
 
 
 _FREQUENCY_FIELDS = {"asic": "f_max_asic", "ecologic": "f_max_efpga", "fpga": "f_max_fpga"}
@@ -510,19 +503,22 @@ def platform_comparison(
         raise ValidationError("platforms to compare must differ")
 
     aggregates: dict[str, dict[str, float]] = {}
-    series: list[tuple[str, str, str, float]] = []
+    metrics, platforms, ip_ids, values = series = ([], [], [], [])
     ids = [ip.id for ip in dataset.ips]
     for metric in _COMPARE_METRICS:
         per_platform: dict[str, float] = {}
         for platform in (ours, baseline):
-            values = _metric_column(dataset.ips, metric, platform)
+            column = _metric_column(dataset.ips, metric, platform)
             try:
-                per_platform[platform] = math.fsum(values) / len(values)
+                per_platform[platform] = math.fsum(column) / len(column)
             except OverflowError:
                 raise ValidationError(
                     f"{metric} values of platform {platform!r} overflow their sum"
                 ) from None
-            series += [(metric, platform, ip_id, v) for ip_id, v in zip(ids, values)]
+            metrics += [metric] * len(ids)
+            platforms += [platform] * len(ids)
+            ip_ids += ids
+            values += column
         entry = {"ours": per_platform[ours], "baseline": per_platform[baseline]}
         if metric == "power_mw":
             entry["ratio"] = _ratio(metric, per_platform, baseline, ours)
@@ -547,7 +543,7 @@ def compare_report_files(
     agg_headers = (
         "metric", comparison.ours, comparison.baseline, "statistic", "value",
     )
-    series = _Table(("metric", "series", "x", "y"), comparison.series)
+    series = _Table.by_column(("metric", "series", "x", "y"), comparison.series)
     payload = {
         "report": "compare",
         "ours": comparison.ours,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .model import Dataset, ScoreWeights
+from .model import Dataset, ScoreWeights, _build
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,9 @@ def score_dataset(
     """Score every IP and return cards ranked best-first.
 
     Dataset-wide quantities (max churn, min/max area) are taken over the
-    given dataset. Cards are ranked by :func:`rank_cards`, so output order is
-    deterministic.
+    given dataset. Each column is one pass that evaluates the float expression
+    of :func:`adaptability` ... :func:`composite`, so the cards equal theirs;
+    the dataset has made their input checks. Cards are ranked by :func:`rank_cards`.
 
     ``normalize_piracy`` additionally divides the piracy-threat column by its
     maximum before the composite step. This mirrors score tables that report
@@ -186,27 +187,28 @@ def score_dataset(
     in-range inputs.
     """
     ips = dataset.ips
-    max_loc = max(ip.loc_changed for ip in ips)
+    locs = [ip.loc_changed for ip in ips]
     areas = [ip.area for ip in ips]
-    a_min, a_max = min(areas), max(areas)
+    max_loc, a_min, a_max = max(locs), min(areas), max(areas)
 
-    expo = [exposure(ip.io_control_nets, ip.internal_nets_and_state) for ip in ips]
-    redact = [redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic) for ip in ips]
-    piracy = list(map(
-        piracy_threat, [ip.confidentiality_risk for ip in ips], expo, redact, repeat(weights)
-    ))
+    expo = [ip.io_control_nets / ip.internal_nets_and_state for ip in ips]
+    redact = [float(ip.logic_mapped_to_efpga) / float(ip.total_logic) for ip in ips]
+    mu, nu, xi = weights.mu, weights.nu, weights.xi
+    piracy = [mu * ip.confidentiality_risk + nu * min(e, 1.0) + xi * r
+              for ip, e, r in zip(ips, expo, redact)]
     if normalize_piracy:
         top = max(piracy)
         if top > 0:
             piracy = [value / top for value in piracy]
 
+    log_max, span = math.log1p(max_loc), a_max - a_min
     ids = [ip.id for ip in ips]
     cards = _cards(
         ids,
-        [adaptability(ip.loc_changed, max_loc) for ip in ips],
+        [math.log1p(loc) / log_max for loc in locs] if max_loc else [0.0] * len(ips),
         piracy,
-        [performance_tolerance(ip.f_max_asic, ip.f_max_efpga) for ip in ips],
-        [resource_fit(area, a_min, a_max) for area in areas],
+        [min(ip.f_max_efpga / ip.f_max_asic, 1.0) for ip in ips],
+        [(a_max - area) / span for area in areas] if span else [1.0] * len(ips),
         weights, expo, redact,
     )
     return rank_cards(cards, dict(zip(ids, areas)))
@@ -214,13 +216,21 @@ def score_dataset(
 
 def _cards(
     ids: Sequence[str], adapt: Sequence[float], piracy: Sequence[float], perf: Sequence[float],
-    fit: Sequence[float], weights: ScoreWeights, *raw: Sequence[float],
+    fit: Sequence[float], weights: ScoreWeights, *raw: Sequence[float | None],
 ) -> list[ScoreCard]:
     """Unranked cards from one column per sub-score, plus the exposure and
-    redaction columns as ``raw`` when built from raw inputs."""
-    composites = list(map(composite, adapt, piracy, perf, fit, repeat(weights)))
+    redaction columns as ``raw`` (all None without raw inputs). Composites use
+    :func:`composite`'s expression, and a sub-score outside [0, 1] gets its
+    error for the first row that has one."""
+    alpha, beta, gamma, delta = weights.alpha, weights.beta, weights.gamma, weights.delta
+    composites = [alpha * a + beta * o + gamma * p + delta * r
+                  for a, o, p, r in zip(adapt, piracy, perf, fit)]
+    columns = (adapt, piracy, perf, fit)
+    # min and max pass over a NaN that is not first; the NaN composite shows it
+    if not all(0.0 <= min(c) and max(c) <= 1.0 for c in columns) or math.isnan(sum(composites)):
+        list(map(composite, *columns, repeat(weights)))
     normalized = normalize_composites(composites)
-    return list(map(ScoreCard, ids, adapt, piracy, perf, fit, composites, normalized, *raw))
+    return _build(ScoreCard, (ids, *columns, composites, normalized, *raw))
 
 
 def score_from_subscores(
@@ -235,6 +245,6 @@ def score_from_subscores(
     if not rows:
         raise ValueError("need at least one sub-score row")
     ids, adapt, piracy, perf, fit = zip(*rows, strict=True)
-    cards = _cards(ids, adapt, piracy, perf, fit, weights)
+    cards = _cards(ids, adapt, piracy, perf, fit, weights, [None] * len(ids), [None] * len(ids))
     cards.sort(key=lambda c: (-c.composite, c.ip_id))
     return cards

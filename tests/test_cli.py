@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -72,6 +73,19 @@ class TestScoreCommand:
         assert not out.exists()
         assert "i/o error" in capsys.readouterr().err
 
+    def test_lone_surrogate_id_exits_1_without_an_output_directory(
+        self, write_config, tmp_path, capsys
+    ):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        raw["ips"][0]["id"] = "a\ud800"
+        dataset = tmp_path / "surrogate.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")  # spelled as the escape \ud800
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset)))
+        out = tmp_path / "out"
+        assert run_cli("score", "--config", config, "--out", out) == 1
+        assert "IP id must encode as UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_weights_exit_1(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw["weights"].update(alpha=0.9))
         out = tmp_path / "out"
@@ -88,6 +102,46 @@ class TestScoreCommand:
         assert run_cli(command, "--config", config, "--out", out) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+def seeded_soc(n: int, seed: int) -> dict:
+    """A dataset of ``n`` IPs with every platform map. Fields come from small
+    pools, so that composites, areas and platform values tie often."""
+    rng = random.Random(seed)
+    ips = []
+    for i in rng.sample(range(10 * n), n):  # ids out of order
+        maps = {name: {p: rng.choice([1.0, 2.5, 40.0]) for p in ("asic", "fpga", "ecologic")}
+                for name in ("power_mw", "slack_ns", "area_mm2")}
+        ips.append({
+            "id": f"ip{i}", "name": f"block {i}", "loc_changed": rng.choice([0, 10, 500]),
+            "confidentiality_risk": rng.choice([0, 0.5, 1]), "io_control_nets": rng.choice([0, 5]),
+            "internal_nets_and_state": 10, "logic_mapped_to_efpga": rng.choice([0, 5]),
+            "total_logic": 10, "f_max_asic": 2.0, "f_max_efpga": rng.choice([1.0, 2.0]),
+            "f_max_fpga": rng.choice([0.2, 0.4]), "area": rng.choice([1000, 2000, 4000]), **maps,
+        })
+    return {"schema_version": "1", "area_unit": "um2", "ips": ips}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(write_config, tmp_path):
+    raw = seeded_soc(300, seed=7)
+    dataset = tmp_path / "soc.json"
+    dataset.write_text(json.dumps(raw), encoding="utf-8")
+    capacity = 0.25 * sum(ip["area"] for ip in raw["ips"])
+    config = write_config(
+        lambda cfg: cfg.update(dataset=str(dataset), fabric_budget={"capacity": capacity})
+    )
+    src = str(Path(ecoplan.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"out-{hash_seed}"
+        for argv in (["score"], ["partition", "--method", "greedy"], ["compare"]):
+            subprocess.run([sys.executable, "-m", "ecoplan.cli", *argv, "--config", config,
+                            "--out", out], env=env, check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
 
 
 class TestPartitionCommand:

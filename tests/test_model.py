@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass, replace
 from unittest import mock
 
 import pytest
@@ -131,6 +132,11 @@ REJECTED = [
     pytest.param({"name": ""}, "IP 'ip0' field 'name' must be a non-empty string", id="empty-name"),
     pytest.param({"name": ["x"]}, "IP 'ip0' field 'name' must be a non-empty string",
                  id="list-name"),
+    # JSON can spell a lone surrogate, which no report file can hold
+    pytest.param({"id": "a\ud800"}, "IP id must encode as UTF-8, got 'a\\ud800'",
+                 id="surrogate-id"),
+    pytest.param({"name": "\udfffb"}, "IP 'ip0' field 'name' must encode as UTF-8, got '\\udfffb'",
+                 id="surrogate-name"),
     pytest.param({"power_mw": 5}, "IP 'ip0' field 'power_mw' must be a platform -> value map",
                  id="map-not-dict"),
     pytest.param({"slack_ns": {"gpu": 1.0}},
@@ -411,7 +417,8 @@ def mutate(draw, entries, kind):
     elif kind == "extra-key":
         entry["bogus"] = 1
     elif kind == "bad-id-or-name":
-        entry[draw(st.sampled_from(["id", "name"]))] = draw(st.sampled_from(["", 5, None, ["x"]]))
+        entry[draw(st.sampled_from(["id", "name"]))] = draw(
+            st.sampled_from(["", 5, None, ["x"], "a\ud800"]))
     elif kind == "entry-not-dict":
         entries[i] = draw(st.sampled_from([None, 5, "ip", [1, 2]]))
     elif kind == "map-not-dict":
@@ -480,6 +487,34 @@ class TestColumnCheck:
         with pytest.raises(ValidationError, match="'d1' field 'area' must be > 0"):
             replace(ip, area=-1.0)
         assert replace(ip, name="renamed").name == "renamed"
+
+    def test_bulk_built_instances_are_as_small_as_built_by_init(self):
+        def new_class():  # its shared keys start empty
+            @dataclass(frozen=True)
+            class Row:
+                a: int
+                b: float
+                c: str
+                d: int
+                e: float
+                f: str
+
+            return Row
+
+        columns = [list(range(2000)), [0.5] * 2000, ["x"] * 2000] * 2
+
+        def allocated(build, cls):
+            tracemalloc.start()
+            try:
+                instances = build(cls)
+                return tracemalloc.get_traced_memory()[0], [vars(i) for i in instances]
+            finally:
+                tracemalloc.stop()
+
+        built_size, built = allocated(lambda cls: model._build(cls, columns), new_class())
+        init_size, by_init = allocated(lambda cls: list(map(cls, *columns)), new_class())
+        assert built == by_init
+        assert built_size <= 1.05 * init_size  # a dict per instance would double it
 
     def test_exception_inside_the_check_falls_back(self, six_ip_dataset, tmp_path):
         path = tmp_path / "d.json"

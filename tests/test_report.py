@@ -130,6 +130,18 @@ class TestWriteOutputs:
             write_outputs(tmp_path, {"a.csv": "fine\n", "b.csv": "lone \ud800 surrogate\n"})
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_removes_the_directories_it_created(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_outputs(tmp_path / "new" / "sub", {"a.csv": "lone \ud800 surrogate\n"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_a_directory_that_existed(self, tmp_path):
+        (tmp_path / "old.csv").write_text("kept\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_outputs(tmp_path / "new", {"a.csv": "lone \ud800 surrogate\n"})
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "kept\n"
+
 
 # --- the encoder against the stdlib dump -----------------------------------------
 

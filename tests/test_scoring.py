@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refdata
-from ecoplan.model import ScoreWeights
+from ecoplan.model import Dataset, IpProfile, ScoreWeights
 from ecoplan.scoring import (
+    ScoreCard,
     adaptability,
     composite,
     exposure,
     normalize_composites,
     performance_tolerance,
     piracy_threat,
+    rank_cards,
     redaction_ratio,
     resource_fit,
     score_dataset,
@@ -238,3 +243,129 @@ class TestScoreFromSubscores:
     def test_range_error(self):
         with pytest.raises(ValueError):
             score_from_subscores([("x", 1.5, 0, 0, 0)], W)
+
+    @pytest.mark.parametrize("rows, message", [
+        # the first row with a bad sub-score, then its first bad sub-score, is named
+        ([("x", 0.5, 0.5, 0.5, 1.5), ("y", -1.0, 0.5, 0.5, 0.5)],
+         "resource sub-score must lie in [0, 1], got 1.5"),
+        ([("x", 0.5, 0.5, 0.5, 0.5), ("y", 0.5, math.nan, 2.0, 0.5)],
+         "piracy sub-score must lie in [0, 1], got nan"),
+        ([("x", 0.5, 0.5, 0.5, 0.5), ("y", 0.5, 0.5, -math.inf, 0.5)],
+         "performance sub-score must lie in [0, 1], got -inf"),
+    ])
+    def test_first_bad_subscore_in_row_order_is_named(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            score_from_subscores(rows, W)
+        assert str(info.value) == message
+
+
+# --- score_dataset against the per-IP public functions ---------------------------
+
+
+def reference_cards(dataset, weights, normalize_piracy):
+    """Ranked cards built one IP at a time from the public sub-score functions."""
+    ips = dataset.ips
+    max_loc = max(ip.loc_changed for ip in ips)
+    a_min, a_max = min(ip.area for ip in ips), max(ip.area for ip in ips)
+    expo = [exposure(ip.io_control_nets, ip.internal_nets_and_state) for ip in ips]
+    redact = [redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic) for ip in ips]
+    piracy = [piracy_threat(ip.confidentiality_risk, e, r, weights)
+              for ip, e, r in zip(ips, expo, redact)]
+    if normalize_piracy and max(piracy) > 0:
+        piracy = [value / max(piracy) for value in piracy]
+    subs = [
+        (adaptability(ip.loc_changed, max_loc), o,
+         performance_tolerance(ip.f_max_asic, ip.f_max_efpga), resource_fit(ip.area, a_min, a_max))
+        for ip, o in zip(ips, piracy)
+    ]
+    composites = [composite(*row, weights) for row in subs]
+    cards = [
+        ScoreCard(ip.id, *row, c, n, e, r)
+        for ip, row, c, n, e, r in zip(
+            ips, subs, composites, normalize_composites(composites), expo, redact)
+    ]
+    return rank_cards(cards, {ip.id: ip.area for ip in ips})
+
+
+def card_reprs(cards):
+    return [[repr(getattr(card, f.name)) for f in fields(ScoreCard)] for card in cards]
+
+
+WEIGHT_CHOICES = (
+    W,
+    ScoreWeights(0.25, 0.25, 0.25, 0.25, 1 / 3, 1 / 3, 1 / 3),
+    ScoreWeights(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    ScoreWeights(0.1, 0.6, 0.1, 0.2, 0.7, 0.2, 0.1),
+)
+
+
+@st.composite
+def scored_datasets(draw):
+    """1-8 IPs whose fields come from small pools, so that areas, churn and
+    composites tie often; sometimes every area is equal or no IP churned."""
+    n = draw(st.integers(1, 8))
+    same_area, no_churn = draw(st.booleans()), draw(st.booleans())
+    area = st.sampled_from([1.0, 2.0, 2.5, 1e6]) | st.floats(1e-3, 1e9)
+    shared_area = draw(area)
+    ips = []
+    for i in range(n):
+        total = draw(st.sampled_from([1, 10, 3.5]) | st.floats(1e-3, 1e9))
+        f_asic = draw(st.sampled_from([1.0, 2.0]) | st.floats(1e-3, 1e3))
+        internal = draw(st.integers(1, 100))
+        ips.append(IpProfile(
+            id=f"ip{n - i}",  # dataset order differs from id order
+            name="block",
+            loc_changed=0 if no_churn else draw(st.sampled_from([0, 1, 7]) | st.integers(0, 10**6)),
+            confidentiality_risk=draw(st.sampled_from([0, 0.5, 1]) | st.floats(0, 1)),
+            io_control_nets=draw(st.sampled_from([0, internal, 2 * internal]) | st.integers(0, 100)),
+            internal_nets_and_state=internal,
+            logic_mapped_to_efpga=draw(
+                st.sampled_from([0, total]) | st.floats(0, 1).map(lambda share: share * total)),
+            total_logic=total,
+            f_max_asic=f_asic,
+            f_max_efpga=draw(st.sampled_from([f_asic, f_asic / 2, 2 * f_asic]) | st.floats(1e-3, 1e3)),
+            area=shared_area if same_area else draw(area),
+        ))
+    return Dataset(ips=tuple(ips), area_unit="um2")
+
+
+class TestScoreDatasetMatchesPerIpFunctions:
+    """Column-wise scoring gives the cards the public per-IP functions give:
+    the same order and every float the same double."""
+
+    @given(dataset=scored_datasets(), weights=st.sampled_from(WEIGHT_CHOICES),
+           normalize_piracy=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_small_datasets(self, dataset, weights, normalize_piracy):
+        expected = reference_cards(dataset, weights, normalize_piracy)
+        actual = score_dataset(dataset, weights, normalize_piracy=normalize_piracy)
+        assert card_reprs(actual) == card_reprs(expected)
+
+    @pytest.mark.parametrize("normalize_piracy", [False, True])
+    def test_seeded_3000_ips(self, normalize_piracy):
+        rng = random.Random(3000)
+        ips = []
+        for i in range(3000):
+            total = rng.randint(500, 20_000)
+            f_asic = round(rng.uniform(0.5, 3.0), 4)
+            ips.append(IpProfile(
+                id=f"ip{i:05d}", name=f"block-{i}", loc_changed=rng.randint(0, 5_000),
+                confidentiality_risk=round(rng.random(), 4),
+                io_control_nets=rng.randint(0, 2_000), internal_nets_and_state=rng.randint(1, 4_000),
+                logic_mapped_to_efpga=rng.randint(0, total), total_logic=total,
+                f_max_asic=f_asic, f_max_efpga=round(f_asic * rng.uniform(0.3, 1.1), 4),
+                area=float(rng.randint(5_000, 200_000)),
+            ))
+        dataset = Dataset(ips=tuple(ips), area_unit="gate_eq")
+        expected = reference_cards(dataset, W, normalize_piracy)
+        actual = score_dataset(dataset, W, normalize_piracy=normalize_piracy)
+        assert card_reprs(actual) == card_reprs(expected)
+
+    def test_piracy_past_one_through_the_weight_sum_tolerance_is_named(self, six_ip_dataset):
+        weights = replace(W, mu=0.5 + 5e-10)  # mu + nu + xi = 1 + 5e-10, within the tolerance
+        ip = replace(six_ip_dataset.ips[0], confidentiality_risk=1.0, io_control_nets=50,
+                     internal_nets_and_state=50, logic_mapped_to_efpga=10.0, total_logic=10.0)
+        dataset = replace(six_ip_dataset, ips=(*six_ip_dataset.ips[1:], ip))
+        with pytest.raises(ValueError) as info:
+            score_dataset(dataset, weights)
+        assert str(info.value) == "piracy sub-score must lie in [0, 1], got 1.0000000005"

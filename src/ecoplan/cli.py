@@ -3,9 +3,9 @@
 One executable with subcommands ``score``, ``partition``, ``carbon``,
 ``compare``, and ``aging``. A single JSON run-configuration file names the
 dataset and carries weights, the fabric budget, the carbon sweep and anchors,
-and the aging inputs; a handful of flags override individual settings.
-Every key of that file is one row of ``_CONFIG``, and ``load_config``
-checks every section, whichever subcommand runs.
+and the aging inputs. ``_CONFIG`` states every key of that file, checked
+whichever subcommand runs; ``_FLAGS`` maps each flag to the ``RunConfig``
+field it replaces; ``_COMMANDS`` gives each subcommand's ``cmd_*`` and flags.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 On any error the output directory is left without new files.
@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
     _REAL, PLATFORMS, DatasetError, ScoreWeights, ValidationError, _check_keys, _fields_of,
-    _from_dict, _read_json_object, _require_finite, _require_number, load_dataset,
+    _from_dict, _read_json_object, _require_finite, _require_number, _require_text, load_dataset,
     weights_from_dict,
 )
 
@@ -119,7 +119,7 @@ def _section(raw: Any, name: str, where: str) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Checked run configuration; paths resolved against the config's directory."""
+    """Checked settings, flags applied by ``run``; paths resolved against the config's directory."""
 
     dataset_path: Path
     weights: ScoreWeights
@@ -128,6 +128,7 @@ class RunConfig:
     formats: tuple[str, ...]
     fabric_capacity: float | None
     partition_method: str
+    temperature_c: float | None
     carbon: Mapping[str, Any] | None
     compare: Mapping[str, Any]
     aging: Mapping[str, Any] | None
@@ -144,39 +145,37 @@ def load_config(path: str | Path) -> RunConfig:
         formats=report_mod.check_formats(tuple(raw["formats"])),
         fabric_capacity=(raw["fabric_budget"] or {}).get("capacity"),
         partition_method=raw["partition_method"],
+        temperature_c=(raw["aging"] or {}).get("temperature_c"),
         carbon=raw["carbon"],
         compare=raw["compare"],
         aging=raw["aging"],
     )
 
 
-def cmd_score(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
+def cmd_score(config: RunConfig) -> dict[str, str]:
     from .scoring import score_dataset
 
     dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
-    return report_mod.score_report_files(cards, formats)
+    return report_mod.score_report_files(cards, config.formats)
 
 
-def cmd_partition(
-    config: RunConfig, formats: Sequence[str], method: str | None, capacity: float | None
-) -> dict[str, str]:
+def cmd_partition(config: RunConfig) -> dict[str, str]:
     from .partition import FabricBudget, plan_exact, plan_greedy, validate_plan
     from .scoring import score_dataset
 
     dataset = load_dataset(config.dataset_path)
     cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
-    effective_capacity = capacity if capacity is not None else config.fabric_capacity
-    if effective_capacity is None:
+    if config.fabric_capacity is None:
         raise ValidationError("no fabric capacity given (config fabric_budget or --capacity)")
-    budget = FabricBudget(capacity=effective_capacity)
-    planner = plan_exact if (method or config.partition_method) == "exact" else plan_greedy
+    budget = FabricBudget(capacity=config.fabric_capacity)
+    planner = plan_exact if config.partition_method == "exact" else plan_greedy
     plan = planner(cards, dataset, budget)
     validate_plan(plan, dataset, budget)
-    return report_mod.partition_report_files(plan, budget, formats)
+    return report_mod.partition_report_files(plan, budget, config.formats)
 
 
-def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
+def cmd_carbon(config: RunConfig) -> dict[str, str]:
     from . import carbon as carbon_mod
 
     if config.carbon is None:
@@ -199,6 +198,7 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
     reports: list[carbon_mod.CarbonReport] = []
     comparisons: dict[str, carbon_mod.CarbonComparison] = {}
     for design_id in sorted(anchors):
+        _require_text(design_id, "carbon anchors design")
         platform_reports: dict[str, carbon_mod.CarbonReport] = {}
         platform_anchors = _check_keys(anchors[design_id], None, f"carbon anchors {design_id!r}")
         for platform in sorted(platform_anchors):
@@ -218,25 +218,25 @@ def cmd_carbon(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
             )
 
     reduction_designs = section["reduction_designs"]
+    for design_id in reduction_designs or ():
+        _require_text(design_id, "carbon reduction_designs entry")
     reduction_designs = sorted(comparisons) if reduction_designs is None else reduction_designs
     scenario = carbon_mod.Scenario(**section["reduction_scenario"])
     mean_reduction = None
     if comparisons and reduction_designs:
         mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
     return report_mod.carbon_report_files(
-        reports, comparisons, mean_reduction, reduction_designs, formats
+        reports, comparisons, mean_reduction, reduction_designs, config.formats
     )
 
 
-def cmd_compare(config: RunConfig, formats: Sequence[str]) -> dict[str, str]:
+def cmd_compare(config: RunConfig) -> dict[str, str]:
     dataset = load_dataset(config.dataset_path)
     comparison = report_mod.platform_comparison(dataset, **config.compare)
-    return report_mod.compare_report_files(comparison, formats)
+    return report_mod.compare_report_files(comparison, config.formats)
 
 
-def cmd_aging(
-    config: RunConfig, formats: Sequence[str], temperature: float | None
-) -> dict[str, str]:
+def cmd_aging(config: RunConfig) -> dict[str, str]:
     from . import aging as aging_mod
 
     if config.aging is None:
@@ -246,7 +246,7 @@ def cmd_aging(
         raise ValidationError("aging config requires 'curves'")
     curves = [aging_mod.SlackCurve(platform, points)
               for platform, points in sorted(section["curves"].items())]
-    temp = temperature if temperature is not None else section["temperature_c"]
+    temp = config.temperature_c
     if temp is None:
         raise ValidationError("no temperature given (config temperature_c or --temperature)")
     slacks = {curve.platform: aging_mod.slack_at(curve, temp) for curve in curves}
@@ -261,71 +261,55 @@ def cmd_aging(
         blocks = [_from_dict(aging_mod.LogicBlock, b, "aging block") for b in blocks]
         base_curve = next((c for c in curves if c.platform == "ecologic"), curves[0])
         plan = aging_mod.remap(blocks, regions, base_curve, temp)
-    return report_mod.aging_report_files(curves, slacks, temp, plan, formats)
+    return report_mod.aging_report_files(curves, slacks, temp, plan, config.formats)
+
+
+# Each flag but --config: the RunConfig field it replaces, its check, and its argparse options.
+_FLAGS: dict[str, tuple[str, Callable[[Any], Any], dict[str, Any]]] = {
+    "--out": ("output_dir", Path, {"help": "output directory (overrides config output_dir)"}),
+    "--formats": ("formats", lambda text: report_mod.check_formats(tuple(text.split(","))),
+                  {"help": "comma-separated subset of json,csv,markdown (overrides config)"}),
+    "--method": ("partition_method", str,
+                 {"choices": ("greedy", "exact"), "help": "planner to use"}),
+    "--capacity": ("fabric_capacity",  # FabricBudget checks it too, but names no flag
+                   lambda value: _require_number(value, _REAL, 0, True, None, "--capacity"),
+                   {"type": float, "help": "fabric capacity override"}),
+    "--temperature": ("temperature_c", float,
+                      {"type": float, "help": "evaluation temperature (degC)"}),
+}
+
+# Each subcommand: its help text, its command, and its flags beyond --out and --formats.
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], dict[str, str]], tuple[str, ...]]] = {
+    "score": ("rank IPs by composite score", cmd_score, ()),
+    "partition": ("plan the fabric placement", cmd_partition, ("--method", "--capacity")),
+    "carbon": ("deployment-carbon sweep and reductions", cmd_carbon, ()),
+    "compare": ("cross-platform metric comparison", cmd_compare, ()),
+    "aging": ("slack-vs-temperature and remap report", cmd_aging, ("--temperature",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ecoplan",
-        description=(
-            "Score SoC IP blocks for eFPGA mapping, plan fabric partitions, and "
-            "report deployment carbon, aging, and platform comparisons."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="ecoplan", description=(
+        "Score SoC IP blocks for eFPGA mapping, plan fabric partitions, and "
+        "report deployment carbon, aging, and platform comparisons."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="run configuration JSON file")
-        p.add_argument("--out", help="output directory (overrides config output_dir)")
-        p.add_argument(
-            "--formats",
-            help="comma-separated subset of json,csv,markdown (overrides config)",
-        )
-
-    p_score = sub.add_parser("score", help="rank IPs by composite score")
-    add_common(p_score)
-
-    p_part = sub.add_parser("partition", help="plan the fabric placement")
-    add_common(p_part)
-    p_part.add_argument("--method", choices=("greedy", "exact"), help="planner to use")
-    p_part.add_argument("--capacity", type=float, help="fabric capacity override")
-
-    p_carbon = sub.add_parser("carbon", help="deployment-carbon sweep and reductions")
-    add_common(p_carbon)
-
-    p_compare = sub.add_parser("compare", help="cross-platform metric comparison")
-    add_common(p_compare)
-
-    p_aging = sub.add_parser("aging", help="slack-vs-temperature and remap report")
-    add_common(p_aging)
-    p_aging.add_argument("--temperature", type=float, help="evaluation temperature (degC)")
-
+    for name, (help_text, _, extra) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, help="run configuration JSON file")
+        for flag in ("--out", "--formats", *extra):
+            field, _, options = _FLAGS[flag]
+            command.add_argument(flag, dest=field, **options)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = load_config(args.config)
-    formats = config.formats
-    if args.formats:
-        formats = report_mod.check_formats(tuple(args.formats.split(",")))
-    out_dir = Path(args.out) if args.out else config.output_dir
-
-    if args.command == "score":
-        files = cmd_score(config, formats)
-    elif args.command == "partition":
-        if args.capacity is not None:  # FabricBudget checks it too, but names no flag
-            _require_number(args.capacity, _REAL, 0, True, None, "--capacity")
-        files = cmd_partition(config, formats, args.method, args.capacity)
-    elif args.command == "carbon":
-        files = cmd_carbon(config, formats)
-    elif args.command == "compare":
-        files = cmd_compare(config, formats)
-    else:  # "aging"; argparse allows no other command
-        files = cmd_aging(config, formats, args.temperature)
-
-    written = report_mod.write_outputs(out_dir, files)
-    for path in written:
+    args = vars(build_parser().parse_args(argv))
+    config = load_config(args["config"])
+    # an absent flag, or an empty --out or --formats, keeps the config's value
+    config = replace(config, **{field: check(args[field]) for field, check, _ in _FLAGS.values()
+                                if args.get(field) not in (None, "")})
+    files = _COMMANDS[args["command"]][1](config)
+    for path in report_mod.write_outputs(config.output_dir, files):
         print(path)
     return 0
 

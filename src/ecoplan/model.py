@@ -96,9 +96,12 @@ def _require_finite(value: Any, what: str, *args: Any) -> float:
 
 
 def _require_text(value: Any, what: str, *args: Any) -> str:
-    """``value``, a non-empty string that encodes as UTF-8 (JSON can spell a lone surrogate)."""
+    """``value``, a non-empty string without NUL that encodes as UTF-8. JSON
+    can spell both a NUL and a lone surrogate; Python 3.10's ``csv`` rejects a NUL."""
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{_label(what, args)} must be a non-empty string, got {value!r}")
+    if "\0" in value:
+        raise ValidationError(f"{_label(what, args)} must not contain NUL, got {value!r}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -376,7 +379,10 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
         for name in ("id", "name"):
             if set(map(type, columns[name])) != {str} or not all(columns[name]):
                 return None
-            "".join(columns[name]).encode("utf-8")  # a lone surrogate raises
+            text = "".join(columns[name])
+            if "\0" in text:
+                return None
+            text.encode("utf-8")  # a lone surrogate raises
         for name, types, low, strict, high in _IP_NUMBERS:
             values = columns[name]
             if _IP_DEFAULTS[name] is None:

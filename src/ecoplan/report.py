@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import count, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .model import PLATFORMS, Dataset, ValidationError
 
@@ -266,14 +266,6 @@ def _markdown(table: _Table) -> str:
     if not table.size:
         return head + "|\n"
     return head + "|\n| " + " |\n| ".join(map(" | ".join, table.text_rows())) + " |\n"
-
-
-def render_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return _csv(_Table(headers, list(rows)))
-
-
-def render_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return _markdown(_Table(headers, list(rows)))
 
 
 def check_formats(formats: Sequence[str]) -> tuple[str, ...]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -85,6 +86,34 @@ class TestScoreCommand:
         assert run_cli("score", "--config", config, "--out", out) == 1
         assert "IP id must encode as UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, named", [("id", "IP id"), ("name", "IP 'd1' field 'name'")],
+                             ids=["id", "name"])
+    def test_nul_in_id_or_name_exits_1_without_an_output_directory(
+        self, write_config, tmp_path, capsys, field, named
+    ):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        raw["ips"][0][field] = "a\u0000b"  # Python 3.10's csv cannot write it
+        dataset = tmp_path / "nul.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset)))
+        out = tmp_path / "out"
+        assert run_cli("score", "--config", config, "--out", out) == 1
+        assert f"{named} must not contain NUL" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--formats"])
+    def test_empty_flag_keeps_the_config_value(self, write_config, tmp_path, monkeypatch, flag):
+        """An empty --out or --formats falls back to the config's value."""
+        config = write_config()
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = ["--out", tmp_path / "flag"] if flag == "--formats" else []
+        assert run_cli("score", "--config", config, *argv, flag, "") == 0
+        out = tmp_path / ("flag" if argv else "out")  # the demo config's output_dir is "out"
+        assert sorted(p.name for p in out.iterdir()) == ["score.csv", "score.json", "score.md"]
+        assert list(cwd.iterdir()) == []
 
     def test_invalid_weights_exit_1(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw["weights"].update(alpha=0.9))
@@ -453,6 +482,16 @@ class TestConfigStrictness:
             ("carbon", lambda raw: raw["carbon"]["anchors"].update(
                 d1={"ecologic": 1e8, "fpga": 4e-300}),
              "mean reduction of design 'd1' overflows"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(
+                {"x\ud800": raw["carbon"]["anchors"].pop("d1")}),
+             "carbon anchors design must encode as UTF-8"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(
+                {"x\u0000": raw["carbon"]["anchors"].pop("d1")}),
+             "carbon anchors design must not contain NUL"),
+            ("carbon", lambda raw: raw["carbon"].update(reduction_designs=["d1", "x\ud800"]),
+             "carbon reduction_designs entry must encode as UTF-8"),
+            ("carbon", lambda raw: raw["carbon"].update(reduction_designs=["d1", "x\u0000"]),
+             "carbon reduction_designs entry must not contain NUL"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -468,7 +507,9 @@ class TestConfigStrictness:
              "regions-empty", "partition-method-int", "carbon-section-read-by-score",
              "aging-section-read-by-score", "compare-platform-read-by-score",
              "compare-unknown-key", "fabric-budget-read-by-aging", "sweep-empty",
-             "anchor-cell-infinite", "reduction-infinite", "mean-reduction-overflow"],
+             "anchor-cell-infinite", "reduction-infinite", "mean-reduction-overflow",
+             "anchor-design-surrogate", "anchor-design-nul", "reduction-design-surrogate",
+             "reduction-design-nul"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section
@@ -517,6 +558,24 @@ READERS = {"weights": ("score", "partition"), "fabric_budget": ("partition",),
            "carbon": ("carbon",), "compare": ("compare",), "aging": ("aging",)}
 
 
+# Each subcommand's flags beyond --config, --out and --formats
+EXTRA_FLAGS = {"score": (), "partition": ("--method", "--capacity"), "carbon": (), "compare": (),
+               "aging": ("--temperature",)}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_subcommand_has_its_flags_and_help(capsys, command):
+    """argparse formats the help text only at --help, so this also checks the
+    help strings of the command and flag tables."""
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--\w+", text)) == {
+        "--help", "--config", "--out", "--formats", *EXTRA_FLAGS[command]}
+    assert ("--method {greedy,exact}" in text) == (command == "partition")
+
+
 def key_paths(node, path=()):
     """Every path of keys and list indices into ``node``."""
     if isinstance(node, (dict, list)):
@@ -559,8 +618,9 @@ def test_config_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path, d
     assert failures == []
 
 
-# The bad values of the config sweep, plus the edges of the dataset's numbers and maps
-BAD_IP_VALUES = BAD_VALUES + (2**53 + 1, {"gpu": 1}, {"asic": -1}, {"asic": 1e308})
+# The bad values of the config sweep, plus the edges of the dataset's numbers and maps,
+# and a NUL, which Python 3.10's csv cannot write
+BAD_IP_VALUES = BAD_VALUES + (2**53 + 1, {"gpu": 1}, {"asic": -1}, {"asic": 1e308}, "a\u0000b")
 
 
 def test_dataset_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path):

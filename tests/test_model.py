@@ -137,6 +137,10 @@ REJECTED = [
                  id="surrogate-id"),
     pytest.param({"name": "\udfffb"}, "IP 'ip0' field 'name' must encode as UTF-8, got '\\udfffb'",
                  id="surrogate-name"),
+    # and a NUL, which Python 3.10's csv cannot write
+    pytest.param({"id": "a\x00b"}, "IP id must not contain NUL, got 'a\\x00b'", id="nul-id"),
+    pytest.param({"name": "a\x00"}, "IP 'ip0' field 'name' must not contain NUL, got 'a\\x00'",
+                 id="nul-name"),
     pytest.param({"power_mw": 5}, "IP 'ip0' field 'power_mw' must be a platform -> value map",
                  id="map-not-dict"),
     pytest.param({"slack_ns": {"gpu": 1.0}},
@@ -418,7 +422,7 @@ def mutate(draw, entries, kind):
         entry["bogus"] = 1
     elif kind == "bad-id-or-name":
         entry[draw(st.sampled_from(["id", "name"]))] = draw(
-            st.sampled_from(["", 5, None, ["x"], "a\ud800"]))
+            st.sampled_from(["", 5, None, ["x"], "a\ud800", "a\x00b"]))
     elif kind == "entry-not-dict":
         entries[i] = draw(st.sampled_from([None, 5, "ip", [1, 2]]))
     elif kind == "map-not-dict":

@@ -11,10 +11,12 @@ and guarantees the minimum effective slack never gets worse.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import _REAL, ValidationError, _require_finite, _require_number, _require_text, _scaled
+from .model import (_REAL, ValidationError, _require_finite, _require_number, _require_text,
+                    _require_unique, _scaled)
 
 
 @dataclass(frozen=True)
@@ -100,26 +102,19 @@ def slack_at(curve: SlackCurve, temp: float) -> float:
             f"temperature {temp} outside curve {curve.platform!r} "
             f"range [{curve.t_min}, {curve.t_max}]; extrapolation is not supported"
         )
-    points = curve.points
-    for knot_temp, knot_slack in points:
-        if temp == knot_temp:
-            return knot_slack
-    for (t0, s0), (t1, s1) in zip(points, points[1:]):
-        if t0 < temp < t1:
-            frac = (temp - t0) / (t1 - t0)
-            return s0 + frac * (s1 - s0)
-    raise AssertionError("unreachable: temp inside range but no segment found")
+    i = bisect_left(curve.points, (temp,))  # the first knot at or above temp
+    t1, s1 = curve.points[i]
+    if temp == t1:
+        return s1
+    t0, s0 = curve.points[i - 1]
+    return s0 + (temp - t0) / (t1 - t0) * (s1 - s0)
 
 
 def _region_index(regions: Sequence[FabricRegion]) -> dict[str, FabricRegion]:
-    index: dict[str, FabricRegion] = {}
-    for region in regions:
-        if region.id in index:
-            raise ValidationError(f"duplicate region id {region.id!r}")
-        index[region.id] = region
-    if not index:
+    if not regions:
         raise ValidationError("need at least one region")
-    return index
+    _require_unique([r.id for r in regions], "duplicate region id %r")
+    return {r.id: r for r in regions}
 
 
 def min_slack(
@@ -160,8 +155,7 @@ def remap(
     if not blocks:
         raise ValidationError("need at least one block")
     ids = [b.id for b in blocks]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate block ids")
+    _require_unique(ids, "duplicate block id %r")
     index = _region_index(regions)
 
     current = {b.id: b.region for b in blocks}
@@ -184,7 +178,9 @@ def remap(
                 f"its capacity {region.capacity}"
             )
 
-    before = min_slack(current, regions, base_curve, temp)
+    # as min_slack: base >= 0, so the least health gives the least base * health
+    base = slack_at(base_curve, temp)
+    before = base * min(index[rid].health_factor for rid in current.values())
 
     by_health = sorted(index.values(), key=lambda r: (-r.health_factor, r.id))
     candidate: dict[str, str] = {}
@@ -197,7 +193,7 @@ def remap(
         candidate[block.id] = target
         capacity_of[target] -= size
 
-    after = min_slack(candidate, regions, base_curve, temp)
+    after = base * min(index[rid].health_factor for rid in candidate.values())
     if after > before:
         return RemapPlan(assignment=candidate, min_slack_before=before, min_slack_after=after)
     return RemapPlan(assignment=dict(current), min_slack_before=before, min_slack_after=before)

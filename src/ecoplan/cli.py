@@ -145,7 +145,7 @@ def load_config(path: str | Path) -> RunConfig:
         formats=report_mod.check_formats(tuple(raw["formats"])),
         fabric_capacity=(raw["fabric_budget"] or {}).get("capacity"),
         partition_method=raw["partition_method"],
-        temperature_c=(raw["aging"] or {}).get("temperature_c"),
+        temperature_c=(raw["aging"] or {}).pop("temperature_c", None),  # moved out of aging
         carbon=raw["carbon"],
         compare=raw["compare"],
         aging=raw["aging"],

@@ -109,6 +109,13 @@ def _require_text(value: Any, what: str, *args: Any) -> str:
     return value
 
 
+def _require_unique(ids: Sequence[str], what: str) -> None:
+    """Raise ValidationError ``what % id`` for the first id in ``ids`` seen before."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        raise ValidationError(what % next(i for i in ids if i in seen or seen.add(i)))
+
+
 def _scaled(values: Sequence[float]) -> list[int]:
     """Exact integer numerators over one shared power-of-two denominator."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -135,9 +142,9 @@ def _read_json_object(
     path: str | Path, allowed: Sequence[str], required: Sequence[str] = ()
 ) -> Mapping[str, Any]:
     """Parse a UTF-8 JSON file that must hold an object with known keys."""
-    try:
+    try:  # bad UTF-8, deep nesting and overlong integers too
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     return _check_keys(raw, allowed, str(path), required)
 
@@ -162,7 +169,7 @@ _IP_NUMBERS = (
 _IP_MAPS = ("power_mw", "slack_ns", "area_mm2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IpProfile:
     """Raw per-IP inputs: churn, confidentiality, net counts, redaction
     amounts, per-platform frequency, and the synthesized area.
@@ -286,11 +293,7 @@ class Dataset:
             object.__setattr__(self, "ips", tuple(self.ips))
         if not self.ips:
             raise ValidationError("dataset must contain at least one IP")
-        seen: set[str] = set()
-        for ip in self.ips:
-            if ip.id in seen:
-                raise ValidationError(f"duplicate IP id {ip.id!r}")
-            seen.add(ip.id)
+        _require_unique(self.ip_ids, "duplicate IP id %r")
 
     def ip(self, ip_id: str) -> IpProfile:
         for candidate in self.ips:
@@ -316,17 +319,10 @@ def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _build(cls: type, columns: Sequence[Sequence[Any]]) -> list[Any]:
-    """Instances of dataclass ``cls`` from one column per field, in field order:
-    its frozen ``__init__`` without ``__post_init__``, for checked values. Each
-    instance gets its fields in field order, and the first gets them all before
-    the rest are allocated (in CPython each allocation shrinks the room for new
-    names in the class's shared keys), so no instance needs a dict of its own."""
-    names = _fields_of(cls)[0]
-    instances = [object.__new__(cls)]
-    for name, column in zip(names, columns, strict=True):
-        object.__setattr__(instances[0], name, column[0])
-    instances += map(object.__new__, repeat(cls, len(columns[0]) - 1))
-    for name, column in zip(names, columns):
+    """Instances of slotted dataclass ``cls`` from one column per field, in field
+    order: its frozen ``__init__`` without ``__post_init__``, for checked values."""
+    instances = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(_fields_of(cls)[0], columns, strict=True):
         deque(map(object.__setattr__, instances, repeat(name), column), maxlen=0)
     return instances
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .model import _REAL, Dataset, ValidationError, _require_number, _scaled
+from .model import _REAL, Dataset, ValidationError, _require_number, _require_unique, _scaled
 from .scoring import ScoreCard, rank_cards
 
 EXACT_SIZE_LIMIT = 32
@@ -48,20 +48,20 @@ class PartitionPlan:
     method: str
 
 
+def _require_cover(ids: Sequence[str], dataset: Dataset, what: str) -> None:
+    """Check that ``ids`` name every IP of ``dataset`` once, and nothing else."""
+    _require_unique(ids, f"coverage error: {what} name IP %r twice")
+    data_ids = set(dataset.ip_ids)
+    missing, extra = sorted(data_ids.difference(ids)), sorted(set(ids) - data_ids)
+    if missing or extra:
+        raise ValidationError(f"coverage error: {what} do not cover the dataset "
+                              f"(missing {missing}, extra {extra})")
+
+
 def _scores(cards: Sequence[ScoreCard], dataset: Dataset) -> dict[str, float]:
     """Check the cards cover the dataset exactly; return their composites by id."""
-    by_id = {c.ip_id: c.composite for c in cards}
-    if len(by_id) != len(cards):
-        raise ValidationError("coverage error: duplicate score cards")
-    card_ids = set(by_id)
-    data_ids = set(dataset.ip_ids)
-    if card_ids != data_ids:
-        missing = sorted(data_ids - card_ids)
-        extra = sorted(card_ids - data_ids)
-        raise ValidationError(
-            f"coverage error: cards do not cover the dataset (missing {missing}, extra {extra})"
-        )
-    return by_id
+    _require_cover([c.ip_id for c in cards], dataset, "cards")
+    return {c.ip_id: c.composite for c in cards}
 
 
 def _finish_plan(
@@ -146,16 +146,8 @@ def validate_plan(plan: PartitionPlan, dataset: Dataset, budget: FabricBudget) -
     (used_area <= capacity), and accounting (used_area equals the recomputed
     fabric area).
     """
-    overlap = plan.efpga_ips & plan.asic_ips
-    if overlap:
-        raise ValidationError(f"coverage error: IPs in both partitions: {sorted(overlap)}")
-    union = plan.efpga_ips | plan.asic_ips
-    data_ids = set(dataset.ip_ids)
-    if union != data_ids:
-        raise ValidationError(
-            "coverage error: plan does not cover the dataset "
-            f"(missing {sorted(data_ids - union)}, extra {sorted(union - data_ids)})"
-        )
+    # asic ids sorted: an IP in both partitions is named the same on every run
+    _require_cover([*plan.efpga_ips, *sorted(plan.asic_ips)], dataset, "the partitions")
     if plan.used_area > budget.capacity:
         raise ValidationError(
             f"capacity error: used_area {plan.used_area} exceeds capacity {budget.capacity}"

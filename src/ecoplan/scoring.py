@@ -3,7 +3,7 @@
 The four sub-scores are dimensionless and live in [0, 1]:
 
 * adaptability        ln(1 + loc) / ln(1 + max loc)        (RTL churn, log-tempered)
-* piracy_threat       mu*C + nu*min(E, 1) + xi*R           (confidentiality, exposure, redaction)
+* piracy_threat       min(mu*C + nu*min(E, 1) + xi*R, 1)   (confidentiality, exposure, redaction)
 * performance_tolerance  min(f_efpga / f_asic, 1)          (frequency retention)
 * resource_fit        (a_max - area) / (a_max - a_min)     (relative footprint)
 
@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .model import Dataset, ScoreWeights, _build
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreCard:
     """Computed scores for one IP. ``exposure`` is the raw (unclamped) ratio
     and may exceed 1; it is None when cards are built from pre-computed
@@ -87,7 +87,8 @@ def piracy_threat(
     """Weighted threat score mu*C + nu*min(E, 1) + xi*R in [0, 1].
 
     The exposure ratio is clamped to 1 at this combination point only, so the
-    raw ratio stays available for reporting.
+    raw ratio stays available for reporting. The sum is capped at 1: weights
+    that sum to 1 only within ``WEIGHT_SUM_TOLERANCE`` can push it just above.
     """
     if not 0.0 <= confidentiality <= 1.0:
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
@@ -95,11 +96,8 @@ def piracy_threat(
         raise ValueError(f"redaction must lie in [0, 1], got {redaction}")
     if exposure_ratio < 0.0:
         raise ValueError(f"exposure must be >= 0, got {exposure_ratio}")
-    return (
-        weights.mu * confidentiality
-        + weights.nu * min(exposure_ratio, 1.0)
-        + weights.xi * redaction
-    )
+    threat = weights.mu * confidentiality + weights.nu * min(exposure_ratio, 1.0)
+    return min(threat + weights.xi * redaction, 1.0)
 
 
 def performance_tolerance(f_asic: float, f_efpga: float) -> float:
@@ -194,7 +192,7 @@ def score_dataset(
     expo = [ip.io_control_nets / ip.internal_nets_and_state for ip in ips]
     redact = [float(ip.logic_mapped_to_efpga) / float(ip.total_logic) for ip in ips]
     mu, nu, xi = weights.mu, weights.nu, weights.xi
-    piracy = [mu * ip.confidentiality_risk + nu * min(e, 1.0) + xi * r
+    piracy = [min(mu * ip.confidentiality_risk + nu * min(e, 1.0) + xi * r, 1.0)
               for ip, e, r in zip(ips, expo, redact)]
     if normalize_piracy:
         top = max(piracy)

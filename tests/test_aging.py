@@ -166,8 +166,13 @@ class TestRemap:
                 blocks.append(LogicBlock(f"b{i}", rng.uniform(0.1, free), host.id))
             if not blocks:
                 continue
-            plan = remap(blocks, regions, simple_curve, rng.uniform(25.0, 140.0))
+            temp = rng.uniform(25.0, 140.0)
+            plan = remap(blocks, regions, simple_curve, temp)
             assert plan.min_slack_after >= plan.min_slack_before
+            current = {b.id: b.region for b in blocks}
+            assert (plan.min_slack_before, plan.min_slack_after) == (
+                min_slack(current, regions, simple_curve, temp),
+                min_slack(plan.assignment, regions, simple_curve, temp))
 
     def test_small_instances_against_exhaustive_optimum(self, simple_curve):
         """Greedy never beats the exhaustive best min-slack and never loses
@@ -209,6 +214,15 @@ class TestRemap:
             assert best is not None
             assert plan.min_slack_after <= best + 1e-12
             assert plan.min_slack_after >= plan.min_slack_before
+
+    def test_duplicate_block_or_region_is_named(self, simple_curve):
+        regions = [FabricRegion("r0", 10.0, 1.0), FabricRegion("r1", 10.0, 0.5)]
+        blocks = [LogicBlock("b0", 1.0, "r0"), LogicBlock("b1", 1.0, "r1"),
+                  LogicBlock("b1", 2.0, "r0")]
+        with pytest.raises(ValidationError, match="^duplicate block id 'b1'$"):
+            remap(blocks, regions, simple_curve, 25.0)
+        with pytest.raises(ValidationError, match="^duplicate region id 'r1'$"):
+            remap(blocks[:2], [*regions, regions[1]], simple_curve, 25.0)
 
     def test_total_capacity_shortfall_rejected(self, simple_curve):
         regions = [FabricRegion("r0", 3.0, 1.0)]

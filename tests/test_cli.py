@@ -102,6 +102,20 @@ class TestScoreCommand:
         assert f"{named} must not contain NUL" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_piracy_past_one_within_the_weight_sum_tolerance_exits_0(self, write_config, tmp_path):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        raw["ips"][0].update(confidentiality_risk=1.0, io_control_nets=100,  # = internal nets
+                             logic_mapped_to_efpga=2000)  # = total_logic
+        dataset = tmp_path / "threat.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        # mu + nu + xi is 1.0000000000000002 as floats, within WEIGHT_SUM_TOLERANCE
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset), weights={
+            **cfg["weights"], "mu": 0.56, "nu": 0.34, "xi": 0.1}))
+        assert run_cli("partition", "--config", config, "--out", tmp_path / "p") == 0
+        assert run_cli("score", "--config", config, "--out", tmp_path / "s") == 0
+        card = json.loads((tmp_path / "s" / "score.json").read_text(encoding="utf-8"))["cards"][0]
+        assert (card["design"], card["piracy_threat"]) == ("d1", 1.0)
+
     @pytest.mark.parametrize("flag", ["--out", "--formats"])
     def test_empty_flag_keeps_the_config_value(self, write_config, tmp_path, monkeypatch, flag):
         """An empty --out or --formats falls back to the config's value."""
@@ -652,6 +666,24 @@ def test_dataset_sweep_never_crashes_or_writes_bad_json(write_config, tmp_path):
                                        parse_constant=_no_constant)
                         shutil.rmtree(out)
     assert failures == []
+
+
+# Files the JSON reader must turn away: deep nesting (RecursionError), bytes that
+# are not UTF-8, and an integer longer than int() converts by default (4300 digits)
+NOT_JSON = {"nested-100k-deep": b"[" * 100_000 + b"]" * 100_000, "not-utf-8": b'{"x": "\xff"}',
+            "5001-digit-integer": b'{"x": ' + b"9" * 5001 + b"}"}
+
+
+@pytest.mark.parametrize("which", ["config", "dataset"])
+@pytest.mark.parametrize("kind", NOT_JSON)
+def test_unreadable_json_exits_1_naming_the_file(write_config, tmp_path, capsys, which, kind):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(NOT_JSON[kind])
+    config = bad if which == "config" else write_config(lambda raw: raw.update(dataset=str(bad)))
+    out = tmp_path / "o"
+    assert run_cli("score", "--config", config, "--out", out) == 1
+    assert f"error: {bad}: not valid JSON: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # The optional keys of the demo config, and the subcommand that has nothing to

@@ -25,6 +25,7 @@ from ecoplan.model import (
     validate_weights,
     weights_from_dict,
 )
+from ecoplan.scoring import score_dataset
 
 
 def ip_entry_dict(**overrides) -> dict:
@@ -493,32 +494,34 @@ class TestColumnCheck:
         assert replace(ip, name="renamed").name == "renamed"
 
     def test_bulk_built_instances_are_as_small_as_built_by_init(self):
-        def new_class():  # its shared keys start empty
-            @dataclass(frozen=True)
-            class Row:
-                a: int
-                b: float
-                c: str
-                d: int
-                e: float
-                f: str
-
-            return Row
+        @dataclass(frozen=True, slots=True)
+        class Row:
+            a: int
+            b: float
+            c: str
+            d: int
+            e: float
+            f: str
 
         columns = [list(range(2000)), [0.5] * 2000, ["x"] * 2000] * 2
+        model._build(Row, [column[:1] for column in columns])  # caches Row's field names
 
-        def allocated(build, cls):
+        def allocated(build):
             tracemalloc.start()
             try:
-                instances = build(cls)
-                return tracemalloc.get_traced_memory()[0], [vars(i) for i in instances]
+                instances = build()
+                return tracemalloc.get_traced_memory()[0], instances
             finally:
                 tracemalloc.stop()
 
-        built_size, built = allocated(lambda cls: model._build(cls, columns), new_class())
-        init_size, by_init = allocated(lambda cls: list(map(cls, *columns)), new_class())
-        assert built == by_init
-        assert built_size <= 1.05 * init_size  # a dict per instance would double it
+        built_size, built = allocated(lambda: model._build(Row, columns))
+        init_size, by_init = allocated(lambda: list(map(Row, *columns)))
+        assert [repr(row) for row in built] == [repr(row) for row in by_init]
+        assert built_size < init_size + len(built)  # not a byte more per instance
+
+    def test_profiles_and_cards_are_slotted(self, six_ip_dataset, default_weights):
+        card = score_dataset(six_ip_dataset, default_weights)[0]
+        assert not hasattr(six_ip_dataset.ips[0], "__dict__") and not hasattr(card, "__dict__")
 
     def test_exception_inside_the_check_falls_back(self, six_ip_dataset, tmp_path):
         path = tmp_path / "d.json"

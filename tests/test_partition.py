@@ -125,6 +125,11 @@ class TestGreedy:
         with pytest.raises(ValidationError, match="coverage error"):
             plan_greedy(cards[:-1], six_ip_dataset, FabricBudget(1000.0))
 
+    def test_duplicate_card_is_named(self, six_ip_dataset, default_weights):
+        cards = score_dataset(six_ip_dataset, default_weights)
+        with pytest.raises(ValidationError, match="^coverage error: cards name IP 'd4' twice$"):
+            plan_greedy([*cards, cards[2]], six_ip_dataset, FabricBudget(1000.0))
+
 
 class TestExact:
     def test_unconstrained_selects_all(self, six_ip_dataset, default_weights):
@@ -231,8 +236,9 @@ class TestValidatePlan:
         cards = score_dataset(six_ip_dataset, default_weights)
         budget = FabricBudget(200000.0)
         plan = plan_greedy(cards, six_ip_dataset, budget)
-        broken = replace(plan, asic_ips=plan.asic_ips | {next(iter(plan.efpga_ips))})
-        with pytest.raises(ValidationError, match="coverage error"):
+        both = next(iter(plan.efpga_ips))
+        broken = replace(plan, asic_ips=plan.asic_ips | {both})
+        with pytest.raises(ValidationError, match=f"the partitions name IP '{both}' twice"):
             validate_plan(broken, six_ip_dataset, budget)
 
     def test_missing_ip_rejected(self, six_ip_dataset, default_weights):

@@ -4,7 +4,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ecoplan.carbon import (
@@ -18,7 +18,7 @@ from ecoplan.carbon import (
     sweep,
     total_cfp,
 )
-from ecoplan.model import Dataset, IpProfile, ScoreWeights, validate_weights
+from ecoplan.model import Dataset, IpProfile, ScoreWeights, ValidationError, validate_weights
 from ecoplan.partition import FabricBudget, plan_exact, plan_greedy, validate_plan
 from ecoplan.scoring import (
     adaptability,
@@ -47,6 +47,17 @@ def weight_vectors(draw):
         delta=1.0 - a / total - b / total - c / total,
         mu=m / tri, nu=n / tri, xi=1.0 - m / tri - n / tri,
     )
+
+
+@st.composite
+def accepted_piracy_weights(draw):
+    """Any mu, nu, xi that ScoreWeights accepts: their sum may miss 1 by the tolerance."""
+    mu, nu = draw(unit), draw(unit)
+    try:
+        return replace(ScoreWeights.default(), mu=mu, nu=nu,
+                       xi=1.0 - mu - nu + draw(st.floats(min_value=-1e-9, max_value=1e-9)))
+    except ValidationError:
+        reject()
 
 
 @st.composite
@@ -135,6 +146,20 @@ class TestScoreRangeProperties:
            weights=weight_vectors())
     def test_piracy_threat_in_unit_interval(self, c, e, r, weights):
         assert 0.0 <= piracy_threat(c, e, r, weights) <= 1.0
+
+    @given(weights=accepted_piracy_weights(), internal=st.integers(1, 10_000),
+           extra=st.integers(0, 10_000), logic=positive)
+    @example(weights=replace(ScoreWeights.default(), mu=0.56, nu=0.34, xi=0.1),
+             internal=100, extra=0, logic=2000.0)  # sums to 1.0000000000000002
+    def test_worst_piracy_inputs_score_at_most_one(self, weights, internal, extra, logic):
+        """C = 1, E >= 1 and R = 1 under any accepted weights."""
+        ip = IpProfile(id="ip", name="ip", loc_changed=0, confidentiality_risk=1.0,
+                       io_control_nets=internal + extra, internal_nets_and_state=internal,
+                       logic_mapped_to_efpga=logic, total_logic=logic, f_max_asic=1.0,
+                       f_max_efpga=1.0, area=1.0)
+        (card,) = score_dataset(Dataset(ips=(ip,), area_unit="gate_eq"), weights)
+        assert card.piracy_threat <= 1.0
+        assert piracy_threat(1.0, card.exposure, 1.0, weights) <= 1.0
 
 
 class TestNormalizationProperties:

@@ -27,7 +27,7 @@ class SlackCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        where = f"curve {self.platform!r}"
+        where = f"curve {_require_text(self.platform, 'curve platform')!r}"
         if not isinstance(self.points, (list, tuple)) or not all(
             isinstance(point, (list, tuple)) and len(point) == 2 for point in self.points
         ):

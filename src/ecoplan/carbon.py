@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import _INT, _REAL, ValidationError, _require_finite, _require_number
+from .model import (_INT, _REAL, ValidationError, _require_finite, _require_number,
+                    _require_unique)
 
 HOURS_PER_YEAR = 8760.0
 
@@ -76,7 +77,9 @@ class Scenario(NamedTuple):
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid for the sweep: lifetimes at the base volume, volumes at a fixed
-    lifetime."""
+    lifetime. It alone orders the cells: the lifetime cells ascending, then
+    the volume cells ascending. No list repeats an entry, compared as floats
+    (``1`` and ``1.0`` repeat)."""
 
     lifetimes_years: tuple[float, ...]
     volumes: tuple[int, ...]
@@ -85,31 +88,31 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.lifetimes_years or not self.volumes:
             raise ValidationError("sweep lists must be non-empty")
-        for years in self.lifetimes_years:
-            _require_number(years, _REAL, 0, True, None, "carbon sweep lifetimes_years")
-        for volume in self.volumes:
-            _require_number(volume, _INT, 1, False, None, "carbon sweep volumes")
+        for name, types, low, strict in (("lifetimes_years", _REAL, 0, True),
+                                         ("volumes", _INT, 1, False)):
+            what = f"carbon sweep {name}"
+            entries = [_require_number(entry, types, low, strict, None, what)
+                       for entry in getattr(self, name)]
+            _require_unique(entries, f"{what} repeats %r")
         _require_number(self.fixed_lifetime_for_volume_sweep_years, _REAL, 0, True, None,
                         "carbon sweep fixed_lifetime_for_volume_sweep_years")
 
     @cached_property
     def _grid(self) -> tuple[tuple[Scenario, ...], list[float], float, list[int]]:
-        """The cell keys in sweep order, each lifetime in hours, the volume
-        sweep's lifetime in hours, and the volumes: worked out by the first
-        :func:`sweep` of this spec, which raises if a lifetime in hours is not
-        finite, and shared by every later one."""
-        lifetime_hours = [
-            _require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
-            for years in self.lifetimes_years
-        ]
+        """The cell keys in sweep order, each lifetime in hours and each
+        volume in that order, and the volume sweep's lifetime in hours: worked
+        out by the first :func:`sweep` of this spec, which raises if a
+        lifetime in hours is not finite, and shared by every later one."""
+        lifetimes = sorted(map(float, self.lifetimes_years))
+        volumes = sorted(map(int, self.volumes))
+        lifetime_hours = [_require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
+                          for years in lifetimes]
         fixed_hours = _require_finite(
             self.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR, "lifetime_hours"
         )
-        keys = (
-            *(Scenario("lifetime_years", float(years)) for years in self.lifetimes_years),
-            *(Scenario("volume", float(volume)) for volume in self.volumes),
-        )
-        return keys, lifetime_hours, fixed_hours, [int(volume) for volume in self.volumes]
+        keys = (*(Scenario("lifetime_years", years) for years in lifetimes),
+                *(Scenario("volume", float(volume)) for volume in volumes))
+        return keys, lifetime_hours, fixed_hours, volumes
 
 
 @dataclass(frozen=True)

@@ -222,8 +222,11 @@ def cmd_carbon(config: RunConfig) -> dict[str, str]:
         _require_text(design_id, "carbon reduction_designs entry")
     reduction_designs = sorted(comparisons) if reduction_designs is None else reduction_designs
     scenario = carbon_mod.Scenario(**section["reduction_scenario"])
+    if scenario not in spec._grid[0]:  # the cell keys, which every report holds
+        raise ValidationError(f"carbon reduction_scenario {scenario.kind} {scenario.value} "
+                              "is not a cell of the sweep grid")
     mean_reduction = None
-    if comparisons and reduction_designs:
+    if reduction_designs:  # explicit names are checked even when no design is paired
         mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
     return report_mod.carbon_report_files(
         reports, comparisons, mean_reduction, reduction_designs, config.formats

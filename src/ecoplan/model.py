@@ -24,7 +24,7 @@ from functools import cache
 from itertools import chain, repeat
 from operator import le
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Hashable, Mapping, Sequence
 
 SCHEMA_VERSION = "1"
 AREA_UNITS = ("um2", "gate_eq")
@@ -109,10 +109,10 @@ def _require_text(value: Any, what: str, *args: Any) -> str:
     return value
 
 
-def _require_unique(ids: Sequence[str], what: str) -> None:
+def _require_unique(ids: Sequence[Hashable], what: str) -> None:
     """Raise ValidationError ``what % id`` for the first id in ``ids`` seen before."""
     if len(set(ids)) < len(ids):
-        seen: set[str] = set()
+        seen: set[Hashable] = set()
         raise ValidationError(what % next(i for i in ids if i in seen or seen.add(i)))
 
 

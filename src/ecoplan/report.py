@@ -49,7 +49,7 @@ from .model import PLATFORMS, Dataset, ValidationError
 
 if TYPE_CHECKING:  # annotations only; each subcommand imports the layers it runs
     from .aging import RemapPlan, SlackCurve
-    from .carbon import CarbonComparison, CarbonReport, Scenario
+    from .carbon import CarbonComparison, CarbonReport
     from .partition import FabricBudget, PartitionPlan
     from .scoring import ScoreCard
 
@@ -68,8 +68,6 @@ def round4(value: float) -> float:
 
 def fmt(value: Any) -> str:
     """Format one report value: floats at 4 significant digits."""
-    if isinstance(value, bool) or value is None:
-        return str(value)
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
@@ -186,8 +184,6 @@ def _records(table: _Table, depth: int) -> str:
     outer = "\n" + "  " * (depth + 1)
     inner = outer + "  "
     fields = sorted(dict(zip(table.headers, table._picks)).items())  # the last of equal headers
-    if not fields:
-        return "[" + outer + ("," + outer).join(["{}"] * table.size) + outer[:-2] + "]"
     keys = [_key(header) + ": " for header, _ in fields]
     leads = ["," + inner + key for key in keys]
     leads[0] = outer + "}," + outer + "{" + inner + keys[0]  # closes the row before
@@ -382,26 +378,17 @@ def partition_report_files(
 _CARBON_HEADERS = ("design", "platform", "scenario_kind", "scenario_value", "kg_co2")
 
 
-def _scenario_sort_key(scenario: Scenario) -> tuple[int, float]:
-    return (0 if scenario.kind == "lifetime_years" else 1, scenario.value)
-
-
 def _carbon_table(reports: Sequence[CarbonReport]) -> _Table:
     """One row per cell of each report, built by column: the cells of a
-    report in scenario order, sorted once per distinct key order."""
+    report in the order its sweep gives them."""
     design, platform, kind, value, kg = columns = ([], [], [], [], [])
-    keys = None
     for report in reports:
         cells = report.cells
-        if list(cells) != keys:
-            keys = list(cells)
-            order = sorted(keys, key=_scenario_sort_key)
-            kinds, values = [s.kind for s in order], [s.value for s in order]
-        design += [report.design_id] * len(order)
-        platform += [report.platform] * len(order)
-        kind += kinds
-        value += values
-        kg += map(cells.__getitem__, order)
+        design += [report.design_id] * len(cells)
+        platform += [report.platform] * len(cells)
+        kind += [scenario.kind for scenario in cells]
+        value += [scenario.value for scenario in cells]
+        kg += cells.values()
     return _Table.by_column(_CARBON_HEADERS, columns)
 
 

@@ -33,6 +33,16 @@ class TestSlackCurve:
         with pytest.raises(ValidationError, match="negative"):
             SlackCurve(platform="x", points=((25.0, 1.0), (30.0, -0.5)))
 
+    @pytest.mark.parametrize(
+        "platform, message",
+        [("a\u0000b", "must not contain NUL"), ("a\ud800", "must encode as UTF-8"),
+         ("", "must be a non-empty string"), (5, "must be a non-empty string")],
+        ids=["nul", "surrogate", "empty", "int"],
+    )
+    def test_platform_must_be_text(self, platform, message):
+        with pytest.raises(ValidationError, match=f"^curve platform {message}"):
+            SlackCurve(platform=platform, points=((25.0, 10.0), (30.0, 9.0)))
+
 
 class TestRegionsAndBlocks:
     @pytest.mark.parametrize(

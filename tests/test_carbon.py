@@ -178,6 +178,16 @@ class TestSweep:
             expected = anchor * refdata.FIXED_LIFETIME_YEARS * volume / refdata.ANCHOR_VOLUME
             assert cell == pytest.approx(expected, rel=1e-9)
 
+    def test_cells_run_lifetimes_then_volumes_each_ascending(self):
+        spec = SweepSpec(lifetimes_years=(2.5, 0.2, 1), volumes=(90_000, 1000, 6000),
+                         fixed_lifetime_for_volume_sweep_years=2.0)
+        report = sweep(spec, anchor_base(), design_id="d1", platform="ecologic")
+        assert list(report.cells) == [
+            Scenario("lifetime_years", 0.2), Scenario("lifetime_years", 1.0),
+            Scenario("lifetime_years", 2.5), Scenario("volume", 1000.0),
+            Scenario("volume", 6000.0), Scenario("volume", 90_000.0),
+        ]
+
     @pytest.mark.parametrize("lifetimes, fixed", [((1.0, 1e305), 1.0), ((1.0,), 1e305)],
                              ids=["lifetime-cell", "volume-cells"])
     def test_lifetime_overflowing_to_inf_is_rejected(self, lifetimes, fixed):
@@ -272,10 +282,14 @@ class TestParamValidation:
              "got '2'"),
             ("lifetimes_years", (float("nan"),), "carbon sweep lifetimes_years must be finite, "
              "got nan"),
+            ("lifetimes_years", (1, 2.0, 1.0), "carbon sweep lifetimes_years repeats 1.0"),
+            ("volumes", (1000, 6000, 1000), "carbon sweep volumes repeats 1000.0"),
+            # distinct integers that are one float, so one cell
+            ("volumes", (2**53, 2**53 + 1), "carbon sweep volumes repeats 9007199254740992.0"),
         ],
         ids=["lifetime-too-large", "volume-too-large", "fixed-too-large", "lifetime-zero",
              "volume-zero", "fixed-negative", "volume-float", "volume-bool", "lifetime-string",
-             "lifetime-nan"],
+             "lifetime-nan", "lifetime-repeat", "volume-repeat", "volume-repeat-as-float"],
     )
     def test_sweep_spec_checks_every_entry(self, field, value, message):
         spec = dict(lifetimes_years=(1.0,), volumes=(1,), fixed_lifetime_for_volume_sweep_years=1.0)

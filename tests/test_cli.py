@@ -102,6 +102,20 @@ class TestScoreCommand:
         assert f"{named} must not contain NUL" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("unit", ["mm2", 5, None])
+    def test_unknown_area_unit_exits_1_without_an_output_directory(
+        self, write_config, tmp_path, capsys, unit
+    ):
+        raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        raw["area_unit"] = unit
+        dataset = tmp_path / "unit.json"
+        dataset.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(lambda cfg: cfg.update(dataset=str(dataset)))
+        out = tmp_path / "out"
+        assert run_cli("score", "--config", config, "--out", out) == 1
+        assert "area_unit must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_piracy_past_one_within_the_weight_sum_tolerance_exits_0(self, write_config, tmp_path):
         raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
         raw["ips"][0].update(confidentiality_risk=1.0, io_control_nets=100,  # = internal nets
@@ -364,6 +378,12 @@ class TestAgingCommand:
         assert not out.exists()
 
 
+def unpaired(**carbon):
+    """A config mutation: one design with only an ecologic anchor, so no design
+    is paired, and the ``carbon`` keys given."""
+    return lambda raw: raw["carbon"].update(anchors={"d1": {"ecologic": 46600}}, **carbon)
+
+
 class TestConfigStrictness:
     def test_unknown_config_key_rejected(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw.update(notes="hi"))
@@ -506,6 +526,25 @@ class TestConfigStrictness:
              "carbon reduction_designs entry must encode as UTF-8"),
             ("carbon", lambda raw: raw["carbon"].update(reduction_designs=["d1", "x\u0000"]),
              "carbon reduction_designs entry must not contain NUL"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(lifetimes_years=[1.0, 1, 2.0]),
+             "carbon sweep lifetimes_years repeats 1.0"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=[1000, 6000, 1000]),
+             "carbon sweep volumes repeats 1000.0"),
+            ("carbon", lambda raw: raw["carbon"]["reduction_scenario"].update(value=3.0),
+             "carbon reduction_scenario lifetime_years 3.0 is not a cell of the sweep grid"),
+            ("carbon", unpaired(reduction_designs=None,
+                                reduction_scenario={"kind": "volume", "value": 5.0}),
+             "carbon reduction_scenario volume 5.0 is not a cell of the sweep grid"),
+            ("carbon", unpaired(reduction_designs=["nope"]),
+             "no comparison available for design 'nope'"),
+            ("carbon", unpaired(reduction_designs=["d1"]),
+             "no comparison available for design 'd1'"),
+            ("aging", lambda raw: raw["aging"]["curves"].update({"a\u0000b": [[25, 1], [140, 1]]}),
+             "curve platform must not contain NUL"),
+            ("aging", lambda raw: raw["aging"]["curves"].update({"a\ud800": [[25, 1], [140, 1]]}),
+             "curve platform must encode as UTF-8"),
+            ("aging", lambda raw: raw["aging"]["curves"].update({"": [[25, 1], [140, 1]]}),
+             "curve platform must be a non-empty string"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -523,7 +562,10 @@ class TestConfigStrictness:
              "compare-unknown-key", "fabric-budget-read-by-aging", "sweep-empty",
              "anchor-cell-infinite", "reduction-infinite", "mean-reduction-overflow",
              "anchor-design-surrogate", "anchor-design-nul", "reduction-design-surrogate",
-             "reduction-design-nul"],
+             "reduction-design-nul", "lifetime-repeat", "volume-repeat", "scenario-off-grid",
+             "scenario-off-grid-unpaired", "reduction-design-unknown-unpaired",
+             "reduction-design-unpaired", "curve-platform-nul", "curve-platform-surrogate",
+             "curve-platform-empty"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

@@ -276,9 +276,11 @@ class TestCarbonProperties:
 sweep_specs = st.builds(
     SweepSpec,
     lifetimes_years=st.lists(
-        st.floats(min_value=1e-3, max_value=1e3, **finite), min_size=1, max_size=5
+        st.floats(min_value=1e-3, max_value=1e3, **finite), min_size=1, max_size=5, unique=True
     ).map(tuple),
-    volumes=st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=5).map(tuple),
+    volumes=st.lists(
+        st.integers(min_value=1, max_value=10**12), min_size=1, max_size=5, unique=True
+    ).map(tuple),
     fixed_lifetime_for_volume_sweep_years=st.floats(min_value=1e-3, max_value=1e3, **finite),
 )
 
@@ -300,6 +302,8 @@ class TestSweepProperties:
             for volume in spec.volumes
         )
         assert cells == expected
+        # "lifetime_years" < "volume": the lifetime cells ascending, then the volume cells
+        assert list(cells) == sorted(expected)
 
 
 class TestWeightValidationProperties:

@@ -201,6 +201,8 @@ def cmd_carbon(config: RunConfig) -> dict[str, str]:
         _require_text(design_id, "carbon anchors design")
         platform_reports: dict[str, carbon_mod.CarbonReport] = {}
         platform_anchors = _check_keys(anchors[design_id], None, f"carbon anchors {design_id!r}")
+        if not platform_anchors:
+            raise ValidationError(f"carbon anchors {design_id!r} must map platform -> kg")
         for platform in sorted(platform_anchors):
             if platform not in PLATFORMS:
                 raise ValidationError(

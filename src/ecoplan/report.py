@@ -11,14 +11,14 @@ printed with 4 significant digits (internal math stays full precision).
 Writes are staged through temp files, under names that no other run can be
 using, so a failing command never leaves a partial report behind.
 
-A declared table (``_Table``) holds its cells by column, and each cell is
-converted once. A float column is formatted once with ``{:.4g}``: that text
-serves CSV and markdown, and its JSON literal is the repr of the text read
-back, which is the repr of ``round4``. A str column is its own text, and its
-JSON literal is encoded once per distinct value. A markdown table cut from
-the CSV table (``table[1:8]``) reuses the same text. A table placed in a JSON
-payload stands for its list of records, one object per row keyed by the
-headers: the array is one join of a flat list filled a column at a time.
+A declared table (``_Table``) holds its columns and the ``fmt`` text of
+each, made once when the table is built. Float text is ``{:.4g}``: it serves
+CSV and markdown, and a float's JSON literal is the repr of its text read
+back, which is the repr of ``round4``. A str column is its own text. A
+markdown table cut from the CSV table (``table[1:8]``) shares that text. A
+table in a JSON payload stands for its list of records, one object per row
+keyed by the headers: the array is one join of a flat list filled a column
+at a time.
 A CSV table whose cells need no quoting is its rows joined by commas, which
 is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
@@ -35,7 +35,6 @@ the render time. The tests compare ``_encode`` with that stdlib dump.
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import math
 import os
@@ -74,56 +73,42 @@ def fmt(value: Any) -> str:
 
 
 class _Table:
-    """Headers and rows of one report table, stored by column.
+    """Headers, columns and the ``fmt`` text of every column, made when built.
 
-    ``table[start:stop]`` cuts columns and shares the ``fmt`` text of the
-    cells, which each column computes at most once. In a JSON payload a table
-    stands for its list of records.
+    ``table[start:stop]`` is the table over slices of the same lists, with the
+    same rows. In a JSON payload a table stands for its list of records.
     """
 
     def __init__(self, headers: Sequence[Any], rows: Sequence[Sequence[Any]]) -> None:
-        self.headers = tuple(headers)
-        self.size = len(rows)
-        self._columns = list(zip(*rows)) or [()] * len(self.headers)
-        self._picks = range(len(self.headers))
-        self._text: list[Sequence[str] | None] = [None] * len(self.headers)
+        self._hold(headers, list(zip(*rows)) or [()] * len(headers), len(rows))
 
     @classmethod
     def by_column(cls, headers: Sequence[Any], columns: Sequence[Sequence[Any]]) -> _Table:
         """The table whose columns are ``columns``, one per header, all of one length."""
-        table = cls(headers, ())
-        table._columns = list(columns)
-        table.size = len(table._columns[0])
-        return table
+        return cls.__new__(cls)._hold(headers, columns, len(columns[0]))
+
+    def _hold(self, headers: Sequence[Any], columns: Sequence[Sequence[Any]], size: int,
+              text: Sequence[Sequence[str]] | None = None) -> _Table:
+        self.headers, self.columns, self.size = tuple(headers), columns, size
+        self.text = list(map(_text_column, columns)) if text is None else text
+        return self
 
     def __getitem__(self, cut: slice) -> _Table:
-        view = copy.copy(self)
-        view.headers, view._picks = self.headers[cut], self._picks[cut]
-        return view
-
-    def text(self, i: int) -> Sequence[str]:
-        """The ``fmt`` text of every cell of column ``i`` (of the uncut table)."""
-        text = self._text[i]
-        if text is None:
-            text = self._text[i] = _text_column(self._columns[i])
-        return text
+        cut_table = _Table.__new__(_Table)
+        return cut_table._hold(self.headers[cut], self.columns[cut], self.size, self.text[cut])
 
     def text_rows(self) -> Iterator[tuple[str, ...]]:
-        if not self._picks:
-            return iter([()] * self.size)
-        return zip(*map(self.text, self._picks))
+        return zip(*self.text) if self.text else iter([()] * self.size)
 
 
 def _text_column(values: Sequence[Any]) -> Sequence[str]:
-    """``fmt`` of every value; an all-str column is its own text, and all-float
-    and all-str/int columns skip the per-cell call."""
+    """``fmt`` of every value; an all-str column is its own text, and an
+    all-float column skips the per-cell call."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return list(map(_FORMAT4, values))
     if kinds == {str}:
         return values
-    if kinds <= {str, int}:
-        return list(map(str, values))
     return list(map(fmt, values))
 
 
@@ -143,17 +128,14 @@ def _key(key: Any) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_column(table: _Table, i: int, depth: int) -> list[str]:
-    """The JSON literal of every value of column ``i``.
+def _json_column(values: Sequence[Any], text: Sequence[str], depth: int) -> Sequence[str]:
+    """The JSON literal of every value of a column whose ``fmt`` text is ``text``.
 
-    A float's literal is the repr of its ``fmt`` text read back, which is the
-    repr of ``round4``: the text that the CSV and markdown files use is made
-    once, and each distinct text is read back at most once. A str column
-    encodes each distinct value once."""
-    values = table._columns[i]
+    A float's literal is the repr of its text read back, which is the repr of
+    ``round4``: each distinct text is read back at most once. An int's literal
+    is its text. A str column encodes each distinct value once."""
     kinds = set(map(type, values))
     if kinds == {float}:
-        text = table.text(i)
         distinct = set(text)
         # Fixed-point text with a point is already the repr of its double: it
         # has at most 4 significant digits and lies in [1e-4, 1e4), where no
@@ -168,7 +150,7 @@ def _json_column(table: _Table, i: int, depth: int) -> list[str]:
         literals = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
         return list(map(literals.__getitem__, values))
     if kinds == {int}:
-        return list(map(int.__repr__, values))
+        return text
     return [_encode(value, depth) for value in values]
 
 
@@ -183,7 +165,7 @@ def _records(table: _Table, depth: int) -> str:
         return "[]"
     outer = "\n" + "  " * (depth + 1)
     inner = outer + "  "
-    fields = sorted(dict(zip(table.headers, table._picks)).items())  # the last of equal headers
+    fields = sorted(dict(zip(table.headers, count())).items())  # the last of equal headers
     keys = [_key(header) + ": " for header, _ in fields]
     leads = ["," + inner + key for key in keys]
     leads[0] = outer + "}," + outer + "{" + inner + keys[0]  # closes the row before
@@ -191,7 +173,7 @@ def _records(table: _Table, depth: int) -> str:
     flat: list[str] = [""] * (width * size)
     for j, (lead, (_, i)) in enumerate(zip(leads, fields)):
         flat[2 * j::width] = [lead] * size
-        flat[2 * j + 1::width] = _json_column(table, i, depth + 2)
+        flat[2 * j + 1::width] = _json_column(table.columns[i], table.text[i], depth + 2)
     flat[0] = "[" + outer + "{" + inner + keys[0]
     return "".join(flat) + outer + "}" + outer[:-2] + "]"
 

@@ -522,6 +522,8 @@ class TestConfigStrictness:
             ("carbon", lambda raw: raw["carbon"]["anchors"].update(
                 {"x\u0000": raw["carbon"]["anchors"].pop("d1")}),
              "carbon anchors design must not contain NUL"),
+            ("carbon", lambda raw: raw["carbon"]["anchors"].update(d7={}),
+             "carbon anchors 'd7' must map platform -> kg"),
             ("carbon", lambda raw: raw["carbon"].update(reduction_designs=["d1", "x\ud800"]),
              "carbon reduction_designs entry must encode as UTF-8"),
             ("carbon", lambda raw: raw["carbon"].update(reduction_designs=["d1", "x\u0000"]),
@@ -561,11 +563,11 @@ class TestConfigStrictness:
              "aging-section-read-by-score", "compare-platform-read-by-score",
              "compare-unknown-key", "fabric-budget-read-by-aging", "sweep-empty",
              "anchor-cell-infinite", "reduction-infinite", "mean-reduction-overflow",
-             "anchor-design-surrogate", "anchor-design-nul", "reduction-design-surrogate",
-             "reduction-design-nul", "lifetime-repeat", "volume-repeat", "scenario-off-grid",
-             "scenario-off-grid-unpaired", "reduction-design-unknown-unpaired",
-             "reduction-design-unpaired", "curve-platform-nul", "curve-platform-surrogate",
-             "curve-platform-empty"],
+             "anchor-design-surrogate", "anchor-design-nul", "anchor-design-empty",
+             "reduction-design-surrogate", "reduction-design-nul", "lifetime-repeat",
+             "volume-repeat", "scenario-off-grid", "scenario-off-grid-unpaired",
+             "reduction-design-unknown-unpaired", "reduction-design-unpaired",
+             "curve-platform-nul", "curve-platform-surrogate", "curve-platform-empty"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

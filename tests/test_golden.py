@@ -2,8 +2,8 @@
 
 Every file a subcommand writes for the demo config is pinned by its sha256,
 so any change to report content, number formatting or file naming fails
-here. A ``--formats markdown`` run must write only the ``.md`` file, with the
-same bytes as the full run.
+here. A run that asks for one format (``--formats json``, ``csv`` or
+``markdown``) must write only that file, with the same bytes as the full run.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 
 from ecoplan.cli import main
 from ecoplan.fixtures import fixture_path
+from ecoplan.report import FORMATS, output_name
 
 GOLDEN = {
     "score": (("score",), {
@@ -69,10 +70,17 @@ def test_demo_report_bytes_are_pinned(tmp_path, run):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == digests
 
 
-@pytest.mark.parametrize("run", sorted(GOLDEN))
-def test_markdown_only_run_writes_the_same_markdown(tmp_path, run):
+# each golden run with each single format; a markdown case is named by its run alone
+SINGLE_FORMAT_RUNS = [
+    pytest.param(run, only, id=run if only == "markdown" else f"{run}-{only}")
+    for run in sorted(GOLDEN) for only in FORMATS
+]
+
+
+@pytest.mark.parametrize(("run", "only"), SINGLE_FORMAT_RUNS)
+def test_markdown_only_run_writes_the_same_markdown(tmp_path, run, only):
     argv, _ = GOLDEN[run]
     full = run_demo(argv, tmp_path / "full")
-    markdown = run_demo(argv, tmp_path / "md", "--formats", "markdown")
-    md_name = f"{argv[0]}.md"
-    assert markdown == {md_name: full[md_name]}
+    single = run_demo(argv, tmp_path / only, "--formats", only)
+    name = output_name(argv[0], only)
+    assert single == {name: full[name]}

@@ -167,11 +167,16 @@ class TestNormalizationProperties:
         values=st.lists(st.floats(min_value=1e-9, max_value=1e6, **finite), min_size=1, max_size=20),
         scale=st.floats(min_value=1e-6, max_value=1e6, **finite),
     )
+    @example(values=[999999.9999999999, 1000000.0], scale=1.1)
+    @example(values=[999999.9999999999, 1000000.0], scale=274877.99777670717)
     def test_argmax_invariant_under_positive_scaling(self, values, scale):
+        # Rounding can tie the maximum with another value after scaling, never
+        # put another value above it.
+        top = values.index(max(values))
         base = normalize_composites(values)
         scaled = normalize_composites([v * scale for v in values])
-        assert base.index(max(base)) == scaled.index(max(scaled))
-        assert values.index(max(values)) == base.index(max(base))
+        assert base.index(max(base)) == top
+        assert scaled[top] == max(scaled)
 
     @given(
         values=st.lists(st.floats(min_value=1e-9, max_value=1e6, **finite), min_size=2, max_size=20),

@@ -89,6 +89,9 @@ class LogicBlock:
 
 @dataclass(frozen=True)
 class RemapPlan:
+    """The region of every block after :func:`remap`, keyed by block id, and the
+    minimum effective slack (ns) of the blocks before and after the move."""
+
     assignment: Mapping[str, str]
     min_slack_before: float
     min_slack_after: float

@@ -17,6 +17,7 @@ On any error the output directory is left without new files.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -320,6 +321,17 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    With ``argv`` None the arguments come from ``sys.argv`` and the call is the
+    program, which ends with it: the run does no cyclic garbage collection,
+    and the objects it leaves are frozen so that interpreter shutdown skips
+    them. The collector stays off, as nothing runs after. An explicit
+    ``argv`` leaves the caller's collector as it was.
+    """
+    owns_process = argv is None
+    if owns_process:
+        gc.disable()
     try:
         return run(argv)
     except (DatasetError, ValueError) as exc:
@@ -331,6 +343,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if owns_process:
+            gc.freeze()
 
 
 if __name__ == "__main__":

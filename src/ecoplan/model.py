@@ -20,7 +20,7 @@ import json
 import math
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import le
 from pathlib import Path
@@ -278,6 +278,11 @@ def validate_weights(weights: ScoreWeights) -> ScoreWeights:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A checked set of IP profiles: at least one, ids unique, areas in ``area_unit``.
+
+    ``ips`` keeps the order of the input; any sequence given becomes a tuple.
+    """
+
     ips: tuple[IpProfile, ...]
     area_unit: str
     schema_version: str = SCHEMA_VERSION
@@ -301,8 +306,9 @@ class Dataset:
                 return candidate
         raise KeyError(ip_id)
 
-    @property
+    @cached_property
     def ip_ids(self) -> tuple[str, ...]:
+        """The id of every IP, in dataset order; made once per dataset."""
         return tuple(ip.id for ip in self.ips)
 
 
@@ -320,10 +326,11 @@ def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def _build(cls: type, columns: Sequence[Sequence[Any]]) -> list[Any]:
     """Instances of slotted dataclass ``cls`` from one column per field, in field
-    order: its frozen ``__init__`` without ``__post_init__``, for checked values."""
+    order: its frozen ``__init__`` without ``__post_init__``, for checked values.
+    Each slot is set through its member descriptor, past the frozen ``__setattr__``."""
     instances = list(map(object.__new__, repeat(cls, len(columns[0]))))
     for name, column in zip(_fields_of(cls)[0], columns, strict=True):
-        deque(map(object.__setattr__, instances, repeat(name), column), maxlen=0)
+        deque(map(getattr(cls, name).__set__, instances, column), maxlen=0)
     return instances
 
 

@@ -11,14 +11,14 @@ printed with 4 significant digits (internal math stays full precision).
 Writes are staged through temp files, under names that no other run can be
 using, so a failing command never leaves a partial report behind.
 
-A declared table (``_Table``) holds its columns and the ``fmt`` text of
-each, made once when the table is built. Float text is ``{:.4g}``: it serves
-CSV and markdown, and a float's JSON literal is the repr of its text read
-back, which is the repr of ``round4``. A str column is its own text. A
-markdown table cut from the CSV table (``table[1:8]``) shares that text. A
-table in a JSON payload stands for its list of records, one object per row
-keyed by the headers: the array is one join of a flat list filled a column
-at a time.
+A declared table (``_Table``) holds its columns and the kind (the one type
+of its values) and ``fmt`` text of each, made once when the table is built.
+Float text is ``{:.4g}``: it serves CSV and markdown, and a float's JSON
+literal is the repr of its text read back, which is the repr of ``round4``.
+A str column is its own text. A markdown table cut from the CSV table
+(``table[1:8]``) shares that text. A table in a JSON payload stands for its
+list of records, one object per row keyed by the headers: the array is one
+join of a flat list filled a column at a time.
 A CSV table whose cells need no quoting is its rows joined by commas, which
 is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
@@ -73,7 +73,7 @@ def fmt(value: Any) -> str:
 
 
 class _Table:
-    """Headers, columns and the ``fmt`` text of every column, made when built.
+    """Headers, columns, and the kind and ``fmt`` text of every column, made when built.
 
     ``table[start:stop]`` is the table over slices of the same lists, with the
     same rows. In a JSON payload a table stands for its list of records.
@@ -88,26 +88,36 @@ class _Table:
         return cls.__new__(cls)._hold(headers, columns, len(columns[0]))
 
     def _hold(self, headers: Sequence[Any], columns: Sequence[Sequence[Any]], size: int,
+              kinds: Sequence[type | None] | None = None,
               text: Sequence[Sequence[str]] | None = None) -> _Table:
         self.headers, self.columns, self.size = tuple(headers), columns, size
-        self.text = list(map(_text_column, columns)) if text is None else text
+        if kinds is None:
+            kinds = list(map(_kind, columns))
+            text = list(map(_text_column, columns, kinds))
+        self.kinds, self.text = kinds, text
         return self
 
     def __getitem__(self, cut: slice) -> _Table:
         cut_table = _Table.__new__(_Table)
-        return cut_table._hold(self.headers[cut], self.columns[cut], self.size, self.text[cut])
+        return cut_table._hold(self.headers[cut], self.columns[cut], self.size,
+                               self.kinds[cut], self.text[cut])
 
     def text_rows(self) -> Iterator[tuple[str, ...]]:
         return zip(*self.text) if self.text else iter([()] * self.size)
 
 
-def _text_column(values: Sequence[Any]) -> Sequence[str]:
-    """``fmt`` of every value; an all-str column is its own text, and an
-    all-float column skips the per-cell call."""
+def _kind(values: Sequence[Any]) -> type | None:
+    """The one type of every value of a column; None for a mixed or empty column."""
     kinds = set(map(type, values))
-    if kinds == {float}:
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _text_column(values: Sequence[Any], kind: type | None) -> Sequence[str]:
+    """``fmt`` of every value of a column of ``kind``; an all-str column is its
+    own text, and an all-float column skips the per-cell call."""
+    if kind is float:
         return list(map(_FORMAT4, values))
-    if kinds == {str}:
+    if kind is str:
         return values
     return list(map(fmt, values))
 
@@ -128,14 +138,15 @@ def _key(key: Any) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_column(values: Sequence[Any], text: Sequence[str], depth: int) -> Sequence[str]:
-    """The JSON literal of every value of a column whose ``fmt`` text is ``text``.
+def _json_column(
+    values: Sequence[Any], kind: type | None, text: Sequence[str], depth: int
+) -> Sequence[str]:
+    """The JSON literal of every value of a column of ``kind`` whose ``fmt`` text is ``text``.
 
     A float's literal is the repr of its text read back, which is the repr of
     ``round4``: each distinct text is read back at most once. An int's literal
     is its text. A str column encodes each distinct value once."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
+    if kind is float:
         distinct = set(text)
         # Fixed-point text with a point is already the repr of its double: it
         # has at most 4 significant digits and lies in [1e-4, 1e4), where no
@@ -145,11 +156,11 @@ def _json_column(values: Sequence[Any], text: Sequence[str], depth: int) -> Sequ
         reprs = map(float.__repr__, map(float, rest))  # "1.798e+308" reads back as inf
         literals.update(zip(rest, [_NON_FINITE.get(r, r) for r in reprs]))
         return list(map(literals.__getitem__, text))
-    if kinds == {str}:
+    if kind is str:
         distinct = set(values)
         literals = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
         return list(map(literals.__getitem__, values))
-    if kinds == {int}:
+    if kind is int:
         return text
     return [_encode(value, depth) for value in values]
 
@@ -173,7 +184,8 @@ def _records(table: _Table, depth: int) -> str:
     flat: list[str] = [""] * (width * size)
     for j, (lead, (_, i)) in enumerate(zip(leads, fields)):
         flat[2 * j::width] = [lead] * size
-        flat[2 * j + 1::width] = _json_column(table.columns[i], table.text[i], depth + 2)
+        flat[2 * j + 1::width] = _json_column(table.columns[i], table.kinds[i], table.text[i],
+                                              depth + 2)
     flat[0] = "[" + outer + "{" + inner + keys[0]
     return "".join(flat) + outer + "}" + outer[:-2] + "]"
 
@@ -205,7 +217,10 @@ def _encode(value: Any, depth: int) -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
         return "[]"
-    items = (_encode(item, depth + 1) for item in value)
+    if _kind(value) is str:
+        items = map(encode_basestring_ascii, value)
+    else:
+        items = (_encode(item, depth + 1) for item in value)
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
@@ -336,18 +351,18 @@ def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> di
 def partition_report_files(
     plan: PartitionPlan, budget: FabricBudget, formats: Sequence[str]
 ) -> dict[str, str]:
+    efpga, asic = sorted(plan.efpga_ips), sorted(plan.asic_ips)
     summary = {
         "report": "partition",
         "method": plan.method,
         "capacity": budget.capacity,
         "used_area": plan.used_area,
         "total_score": plan.total_score,
-        "efpga_ips": sorted(plan.efpga_ips),
-        "asic_ips": sorted(plan.asic_ips),
+        "efpga_ips": efpga,
+        "asic_ips": asic,
     }
-    rows = [["efpga", ip_id] for ip_id in sorted(plan.efpga_ips)]
-    rows += [["asic", ip_id] for ip_id in sorted(plan.asic_ips)]
-    table = _Table(("placement", "design"), rows)
+    placements = ["efpga"] * len(efpga) + ["asic"] * len(asic)
+    table = _Table.by_column(("placement", "design"), [placements, efpga + asic])
     header = (
         f"method: {plan.method}, capacity: {fmt(float(budget.capacity))}, "
         f"used: {fmt(plan.used_area)}, total score: {fmt(plan.total_score)}\n\n"

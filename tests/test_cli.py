@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ecoplan
+import ecoplan.cli
 from ecoplan.cli import main
 from ecoplan.fixtures import fixture_path
 
@@ -764,3 +766,70 @@ def test_absent_regions_and_blocks_skip_the_remap(write_config, tmp_path):
     out = tmp_path / "o"
     assert run_cli("aging", "--config", config, "--out", out) == 0
     assert "remap" not in json.loads((out / "aging.json").read_text())
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+def _internal_error(config):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "not-collecting"])
+def test_main_with_argv_leaves_the_callers_collector_alone(
+    write_config, tmp_path, capsys, monkeypatch, enabled
+):
+    """``main(argv)`` is a library call: whatever it ends with, exit code or
+    argparse's SystemExit, the collector is on or off and frozen as before."""
+    config = write_config()
+    monkeypatch.setitem(ecoplan.cli._COMMANDS, "carbon", ("boom", _internal_error, ()))
+    runs = {
+        0: ["score", "--config", config, "--out", tmp_path / "ok"],
+        1: ["partition", "--config", config, "--out", tmp_path / "bad", "--capacity", "-1"],
+        2: ["score", "--config", tmp_path / "missing.json", "--out", tmp_path / "io"],
+        3: ["carbon", "--config", config, "--out", tmp_path / "internal"],
+    }
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        before = _collector_state()
+        for code, argv in runs.items():
+            assert run_cli(*argv) == code, capsys.readouterr().err
+            assert _collector_state() == before, code
+        for argv in (["nope"], ["score", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert _collector_state() == before, argv
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+OWNED_RUN = ("import gc, json, sys; from ecoplan.cli import main; "
+             "assert gc.isenabled() and not gc.get_freeze_count(); code = main(); "
+             "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))")
+
+
+@pytest.mark.parametrize("capacity", ["1e9", "-1"], ids=["success", "validation-error"])
+def test_main_run_as_the_program_collects_nothing_and_freezes_what_it_leaves(
+    write_config, tmp_path, capacity
+):
+    """``main()`` reading ``sys.argv`` owns its process: collection stays off
+    and the objects left are frozen, after a failing run too, which still
+    reports its error, exits 1 and writes nothing."""
+    config, out = write_config(), tmp_path / "out"
+    env = dict(os.environ)
+    src = str(Path(ecoplan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", OWNED_RUN, "partition", "--config", str(config), "--out", str(out),
+         "--capacity", capacity],
+        env=env, capture_output=True, text=True, check=True)
+    code, enabled, frozen = json.loads(child.stdout.splitlines()[-1])
+    assert not enabled and frozen > 0
+    if capacity == "-1":
+        assert code == 1 and not out.exists()
+        assert child.stderr.startswith("error: --capacity must be > 0"), child.stderr
+    else:
+        assert code == 0 and sorted(p.name for p in out.iterdir()) == [
+            "partition.csv", "partition.json", "partition.md"]

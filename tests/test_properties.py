@@ -21,11 +21,13 @@ from ecoplan.carbon import (
 from ecoplan.model import Dataset, IpProfile, ScoreWeights, ValidationError, validate_weights
 from ecoplan.partition import FabricBudget, plan_exact, plan_greedy, validate_plan
 from ecoplan.scoring import (
+    ScoreCard,
     adaptability,
     composite,
     normalize_composites,
     performance_tolerance,
     piracy_threat,
+    rank_cards,
     resource_fit,
     score_dataset,
 )
@@ -190,6 +192,27 @@ class TestNormalizationProperties:
         for i, j in itertools.permutations(range(len(values)), 2):
             if base[i] > base[j]:
                 assert scaled[i] >= scaled[j]
+
+
+
+class TestRankProperties:
+    @given(
+        keys=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from("abcd")),
+                      max_size=30),
+        areas=st.fixed_dictionaries({i: st.sampled_from([0.0, 1.0, 2.0]) for i in "abcd"}),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_rank_order_is_composite_down_area_up_id_up_then_given_order(
+        self, keys, areas, order
+    ):
+        # Repeated composites, areas and ids make ties, which keep their given order.
+        cards = [ScoreCard(ip_id, 0.0, 0.0, 0.0, 0.0, c, 0.0) for c, ip_id in keys]
+        order.shuffle(cards)
+        ranked = rank_cards(iter(cards), areas)
+        assert sorted(map(id, ranked)) == sorted(map(id, cards))
+        position = {id(card): i for i, card in enumerate(cards)}
+        ranks = [(-c.composite, areas[c.ip_id], c.ip_id, position[id(c)]) for c in ranked]
+        assert ranks == sorted(ranks)
 
 
 class TestPartitionProperties:

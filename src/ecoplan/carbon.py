@@ -86,13 +86,13 @@ class SweepSpec:
     fixed_lifetime_for_volume_sweep_years: float
 
     def __post_init__(self) -> None:
-        if not self.lifetimes_years or not self.volumes:
-            raise ValidationError("sweep lists must be non-empty")
         for name, types, low, strict in (("lifetimes_years", _REAL, 0, True),
                                          ("volumes", _INT, 1, False)):
             what = f"carbon sweep {name}"
             entries = [_require_number(entry, types, low, strict, None, what)
                        for entry in getattr(self, name)]
+            if not entries:
+                raise ValidationError(f"{what} must be non-empty")
             _require_unique(entries, f"{what} repeats %r")
         _require_number(self.fixed_lifetime_for_volume_sweep_years, _REAL, 0, True, None,
                         "carbon sweep fixed_lifetime_for_volume_sweep_years")

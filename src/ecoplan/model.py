@@ -382,10 +382,7 @@ def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
         for name in ("id", "name"):
             if set(map(type, columns[name])) != {str} or not all(columns[name]):
                 return None
-            text = "".join(columns[name])
-            if "\0" in text:
-                return None
-            text.encode("utf-8")  # a lone surrogate raises
+            _require_text("".join(columns[name]), name)
         for name, types, low, strict, high in _IP_NUMBERS:
             values = columns[name]
             if _IP_DEFAULTS[name] is None:

@@ -24,10 +24,11 @@ is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
 interpreter's ``csv`` module.
 
-``_encode`` is the only JSON writer. Its output is byte for byte what
-``json.dumps(payload, indent=2, sort_keys=True)`` gives once every float is
-rounded to report precision, but it does not call the stdlib: any ``indent``
-sends CPython's ``json`` through its pure-Python encoder, which for the large
+``_encode`` is the only JSON writer. For a payload keyed by strings, its
+output is byte for byte what ``json.dumps(payload, indent=2, sort_keys=True)``
+gives once every float is rounded to report precision; a non-string key
+raises ``TypeError``. It does not call the stdlib: any ``indent`` sends
+CPython's ``json`` through its pure-Python encoder, which for the large
 reports meant a dict per row, a rounded copy of the whole payload and most of
 the render time. The tests compare ``_encode`` with that stdlib dump.
 """
@@ -79,28 +80,16 @@ class _Table:
     same rows. In a JSON payload a table stands for its list of records.
     """
 
-    def __init__(self, headers: Sequence[Any], rows: Sequence[Sequence[Any]]) -> None:
-        self._hold(headers, list(zip(*rows)) or [()] * len(headers), len(rows))
-
-    @classmethod
-    def by_column(cls, headers: Sequence[Any], columns: Sequence[Sequence[Any]]) -> _Table:
-        """The table whose columns are ``columns``, one per header, all of one length."""
-        return cls.__new__(cls)._hold(headers, columns, len(columns[0]))
-
-    def _hold(self, headers: Sequence[Any], columns: Sequence[Sequence[Any]], size: int,
-              kinds: Sequence[type | None] | None = None,
-              text: Sequence[Sequence[str]] | None = None) -> _Table:
-        self.headers, self.columns, self.size = tuple(headers), columns, size
-        if kinds is None:
-            kinds = list(map(_kind, columns))
-            text = list(map(_text_column, columns, kinds))
-        self.kinds, self.text = kinds, text
-        return self
+    def __init__(self, headers: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+        self.headers, self.columns, self.size = tuple(headers), columns, len(columns[0])
+        self.kinds = list(map(_kind, columns))
+        self.text = list(map(_text_column, columns, self.kinds))
 
     def __getitem__(self, cut: slice) -> _Table:
-        cut_table = _Table.__new__(_Table)
-        return cut_table._hold(self.headers[cut], self.columns[cut], self.size,
-                               self.kinds[cut], self.text[cut])
+        table = _Table.__new__(_Table)
+        table.headers, table.columns, table.size = self.headers[cut], self.columns[cut], self.size
+        table.kinds, table.text = self.kinds[cut], self.text[cut]
+        return table
 
     def text_rows(self) -> Iterator[tuple[str, ...]]:
         return zip(*self.text) if self.text else iter([()] * self.size)
@@ -120,22 +109,6 @@ def _text_column(values: Sequence[Any], kind: type | None) -> Sequence[str]:
     if kind is str:
         return values
     return list(map(fmt, values))
-
-
-def _float_literal(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
-def _key(key: Any) -> str:
-    """A dict key as the stdlib encoder writes it (floats are not rounded)."""
-    if isinstance(key, float):
-        key = _float_literal(key)
-    elif key is None or isinstance(key, int):
-        key = _encode(key, 0)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
 
 
 def _json_column(
@@ -177,7 +150,7 @@ def _records(table: _Table, depth: int) -> str:
     outer = "\n" + "  " * (depth + 1)
     inner = outer + "  "
     fields = sorted(dict(zip(table.headers, count())).items())  # the last of equal headers
-    keys = [_key(header) + ": " for header, _ in fields]
+    keys = [encode_basestring_ascii(header) + ": " for header, _ in fields]
     leads = ["," + inner + key for key in keys]
     leads[0] = outer + "}," + outer + "{" + inner + keys[0]  # closes the row before
     width, size = 2 * len(fields), table.size
@@ -192,7 +165,8 @@ def _records(table: _Table, depth: int) -> str:
 
 def _encode(value: Any, depth: int) -> str:
     """``value`` spelled as ``json.dumps(..., indent=2, sort_keys=True)`` spells
-    it ``depth`` levels deep, with every float value rounded by ``round4``."""
+    it ``depth`` levels deep, with every float value rounded by ``round4``; a
+    dict key or table header that is not a string raises ``TypeError``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -204,12 +178,14 @@ def _encode(value: Any, depth: int) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_literal(round4(value))
+        text = float.__repr__(round4(value))
+        return _NON_FINITE.get(text, text)
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (f"{_key(k)}: {_encode(v, depth + 1)}" for k, v in sorted(value.items()))
+        items = (f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}"
+                 for k, v in sorted(value.items()))
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
     if isinstance(value, _Table):
         return _records(value, depth)
@@ -341,7 +317,7 @@ _SCORE_HEADERS = ("rank", "design", *_SCORE_FIELDS[1:])
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
     columns = [list(range(1, len(cards) + 1))]
     columns += ([getattr(card, name) for card in cards] for name in _SCORE_FIELDS)
-    table = _Table.by_column(_SCORE_HEADERS, columns)
+    table = _Table(_SCORE_HEADERS, columns)
     return _render("score", formats, {"report": "score", "cards": table}, table, [table[1:8]])
 
 
@@ -362,7 +338,7 @@ def partition_report_files(
         "asic_ips": asic,
     }
     placements = ["efpga"] * len(efpga) + ["asic"] * len(asic)
-    table = _Table.by_column(("placement", "design"), [placements, efpga + asic])
+    table = _Table(("placement", "design"), [placements, efpga + asic])
     header = (
         f"method: {plan.method}, capacity: {fmt(float(budget.capacity))}, "
         f"used: {fmt(plan.used_area)}, total score: {fmt(plan.total_score)}\n\n"
@@ -386,7 +362,7 @@ def _carbon_table(reports: Sequence[CarbonReport]) -> _Table:
         kind += [scenario.kind for scenario in cells]
         value += [scenario.value for scenario in cells]
         kg += cells.values()
-    return _Table.by_column(_CARBON_HEADERS, columns)
+    return _Table(_CARBON_HEADERS, columns)
 
 
 def carbon_report_files(
@@ -397,19 +373,18 @@ def carbon_report_files(
     formats: Sequence[str],
 ) -> dict[str, str]:
     table = _carbon_table(reports)
-    reduction_rows = [
-        [design_id, comparisons[design_id].mean_reduction] for design_id in sorted(comparisons)
-    ]
+    designs = sorted(comparisons)
+    reductions = [comparisons[design_id].mean_reduction for design_id in designs]
     payload = {
         "report": "carbon",
         "cells": table,
-        "reductions_vs_fpga": dict(reduction_rows),
+        "reductions_vs_fpga": dict(zip(designs, reductions)),
         "mean_reduction": mean_reduction,
         "mean_reduction_designs": list(reduction_designs),
     }
     markdown: list[_Table | str] = [table]
-    if reduction_rows:
-        markdown += ["\n", _Table(("design", "mean_reduction_vs_fpga"), reduction_rows)]
+    if designs:
+        markdown += ["\n", _Table(("design", "mean_reduction_vs_fpga"), [designs, reductions])]
     if mean_reduction is not None:
         markdown.append(
             f"\nmean reduction over {', '.join(reduction_designs)}: {fmt(mean_reduction)}\n"
@@ -509,17 +484,15 @@ def platform_comparison(
 def compare_report_files(
     comparison: PlatformComparison, formats: Sequence[str]
 ) -> dict[str, str]:
-    agg_rows = []
-    for metric in _COMPARE_METRICS:
-        entry = comparison.aggregates[metric]
-        stat = "ratio" if "ratio" in entry else "delta"
-        agg_rows.append(
-            [metric, entry["ours"], entry["baseline"], stat, entry[stat]]
-        )
-    agg_headers = (
-        "metric", comparison.ours, comparison.baseline, "statistic", "value",
+    entries = [comparison.aggregates[metric] for metric in _COMPARE_METRICS]
+    stats = ["ratio" if "ratio" in entry else "delta" for entry in entries]
+    aggregates = _Table(
+        ("metric", comparison.ours, comparison.baseline, "statistic", "value"),
+        [_COMPARE_METRICS, [entry["ours"] for entry in entries],
+         [entry["baseline"] for entry in entries], stats,
+         [entry[stat] for entry, stat in zip(entries, stats)]],
     )
-    series = _Table.by_column(("metric", "series", "x", "y"), comparison.series)
+    series = _Table(("metric", "series", "x", "y"), comparison.series)
     payload = {
         "report": "compare",
         "ours": comparison.ours,
@@ -527,7 +500,7 @@ def compare_report_files(
         "aggregates": {k: dict(v) for k, v in comparison.aggregates.items()},
         "series": series,
     }
-    return _render("compare", formats, payload, series, [_Table(agg_headers, agg_rows)])
+    return _render("compare", formats, payload, series, [aggregates])
 
 
 # --- aging report --------------------------------------------------------------
@@ -540,8 +513,10 @@ def aging_report_files(
     plan: RemapPlan | None,
     formats: Sequence[str],
 ) -> dict[str, str]:
-    slack_rows = [[p, temperature_c, slacks_at_temp[p]] for p in sorted(slacks_at_temp)]
-    slack_table = _Table(("platform", "temperature_c", "slack_ns"), slack_rows)
+    platforms = sorted(slacks_at_temp)
+    slack_table = _Table(("platform", "temperature_c", "slack_ns"), [
+        platforms, [temperature_c] * len(platforms), list(map(slacks_at_temp.get, platforms))
+    ])
     payload: dict[str, Any] = {
         "report": "aging",
         "temperature_c": temperature_c,
@@ -555,7 +530,9 @@ def aging_report_files(
             "min_slack_before": plan.min_slack_before,
             "min_slack_after": plan.min_slack_after,
         }
-        markdown += ["\n", _Table(("block", "region"), sorted(plan.assignment.items()))]
+        blocks = sorted(plan.assignment)
+        regions = list(map(plan.assignment.get, blocks))
+        markdown += ["\n", _Table(("block", "region"), [blocks, regions])]
         markdown.append(f"\nmin slack before: {fmt(plan.min_slack_before)} ns, "
                         f"after: {fmt(plan.min_slack_after)} ns\n")
     return _render("aging", formats, payload, slack_table, markdown)

@@ -244,5 +244,4 @@ def score_from_subscores(
         raise ValueError("need at least one sub-score row")
     ids, adapt, piracy, perf, fit = zip(*rows, strict=True)
     cards = _cards(ids, adapt, piracy, perf, fit, weights, [None] * len(ids), [None] * len(ids))
-    cards.sort(key=lambda c: (-c.composite, c.ip_id))
-    return cards
+    return rank_cards(cards, dict.fromkeys(ids, 0.0))

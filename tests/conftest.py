@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 from ecoplan import ScoreWeights, load_dataset
 from ecoplan.aging import SlackCurve
 from ecoplan.fixtures import fixture_path
+
+# more draws for the encoder's stdlib-parity properties: --hypothesis-profile=encoder
+settings.register_profile("encoder", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,10 @@ def write_config(tmp_path, demo_config_text):
         raw["dataset"] = str(fixture_path("six_ip_soc.json"))
         if mutate is not None:
             mutate(raw)
+        if isinstance(raw.get("dataset"), dict):  # a dataset to write beside the config
+            dataset = tmp_path / "dataset.json"
+            dataset.write_text(json.dumps(raw["dataset"]), encoding="utf-8")
+            raw["dataset"] = str(dataset)
         path = tmp_path / name
         path.write_text(json.dumps(raw), encoding="utf-8")
         return path
@@ -386,6 +390,18 @@ def unpaired(**carbon):
     return lambda raw: raw["carbon"].update(anchors={"d1": {"ecologic": 46600}}, **carbon)
 
 
+def six_ip(change):
+    """A config mutation: the dataset is the six-IP fixture after ``change``,
+    given as an object for ``write_config`` to write."""
+
+    def mutate(raw):
+        dataset = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        change(dataset)
+        raw["dataset"] = dataset
+
+    return mutate
+
+
 class TestConfigStrictness:
     def test_unknown_config_key_rejected(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw.update(notes="hi"))
@@ -549,6 +565,36 @@ class TestConfigStrictness:
              "curve platform must encode as UTF-8"),
             ("aging", lambda raw: raw["aging"]["curves"].update({"": [[25, 1], [140, 1]]}),
              "curve platform must be a non-empty string"),
+            ("aging", lambda raw: raw["aging"].update(curves={}), "aging config requires 'curves'"),
+            ("aging", lambda raw: raw["aging"].pop("temperature_c"),
+             "no temperature given (config temperature_c or --temperature)"),
+            ("aging --temperature 200", None,
+             "temperature 200.0 outside curve 'asic' range [25.0, 140.0]"),
+            ("aging", lambda raw: raw["aging"]["curves"].update(asic=[[25, 9.4]]),
+             "curve 'asic' needs at least 2 points"),
+            ("aging", lambda raw: raw["aging"]["curves"].update(asic=[[25, 9.4], [60]]),
+             "curve 'asic' points must be [temperature, slack] pairs"),
+            ("aging", lambda raw: raw["aging"]["blocks"][0].update(region="r9"),
+             "block 'crypto' currently assigned to unknown region 'r9'"),
+            ("partition", lambda raw: raw.pop("fabric_budget"),
+             "no fabric capacity given (config fabric_budget or --capacity)"),
+            ("carbon", lambda raw: raw.pop("carbon"), "config has no 'carbon' section"),
+            ("aging", lambda raw: raw.pop("aging"), "config has no 'aging' section"),
+            ("carbon", lambda raw: raw["carbon"].update(anchors={}),
+             "carbon anchors must map design -> platform -> kg"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(lifetimes_years=[]),
+             "carbon sweep lifetimes_years must be non-empty"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=[]),
+             "carbon sweep volumes must be non-empty"),
+            ("score", lambda raw: raw.update(formats=[]), "at least one output format is required"),
+            ("score --formats xml", None, "unknown format(s): xml"),
+            ("score", six_ip(lambda data: data.update(schema_version="2")),
+             "unknown schema_version '2'"),
+            ("score", six_ip(lambda data: data.update(ips=[])), "'ips' must be a non-empty list"),
+            ("compare", lambda raw: raw["compare"].update(baseline="ecologic"),
+             "platforms to compare must differ"),
+            ("compare", six_ip(lambda data: [ip.pop("power_mw") for ip in data["ips"]]),
+             "IP 'd1' has no power_mw value for platform 'ecologic'"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -569,14 +615,20 @@ class TestConfigStrictness:
              "reduction-design-surrogate", "reduction-design-nul", "lifetime-repeat",
              "volume-repeat", "scenario-off-grid", "scenario-off-grid-unpaired",
              "reduction-design-unknown-unpaired", "reduction-design-unpaired",
-             "curve-platform-nul", "curve-platform-surrogate", "curve-platform-empty"],
+             "curve-platform-nul", "curve-platform-surrogate", "curve-platform-empty",
+             "curves-empty", "temperature-missing", "temperature-outside-curve",
+             "curve-one-point", "curve-point-short", "block-unknown-region", "capacity-missing",
+             "carbon-section-missing", "aging-section-missing", "anchors-empty",
+             "lifetimes-empty", "volumes-empty", "formats-empty", "format-unknown-flag",
+             "dataset-schema-version", "dataset-ips-empty", "compare-same-platform",
+             "dataset-without-power"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section
     ):
         config = write_config(mutate)
         out = tmp_path / "o"
-        assert run_cli(command, "--config", config, "--out", out) == 1
+        assert run_cli(*command.split(), "--config", config, "--out", out) == 1
         assert section in capsys.readouterr().err
         assert not out.exists()
 

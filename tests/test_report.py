@@ -25,6 +25,11 @@ from ecoplan.report import (
 )
 
 
+def table_of(headers, rows) -> _Table:
+    """The report table of ``rows``, built by column as the reports build theirs."""
+    return _Table(headers, [list(column) for column in zip(*rows)] or [[] for _ in headers])
+
+
 def ip_with_metrics(ip_id: str, power: float, slack: float, area_mm2: float) -> IpProfile:
     metrics = {"ecologic": power, "fpga": power}
     return IpProfile(
@@ -89,8 +94,8 @@ class TestFormatting:
     def test_csv_and_markdown_renderers(self):
         headers = ("a", "b")
         rows = [[1.23456789, "x"]]
-        assert _csv(_Table(headers, rows)) == "a,b\n1.235,x\n"
-        table = _markdown(_Table(headers, rows))
+        assert _csv(table_of(headers, rows)) == "a,b\n1.235,x\n"
+        table = _markdown(table_of(headers, rows))
         assert table.splitlines()[2] == "| 1.235 | x |"
 
     def test_check_formats(self):
@@ -168,6 +173,14 @@ def stdlib_csv(headers, rows) -> str:
     return buf.getvalue()
 
 
+def outcome(render, *args):
+    """``render(*args)``, or the type and message of the exception it raised."""
+    try:
+        return render(*args)
+    except Exception as error:  # noqa: BLE001 - compared with the other renderer's
+        return type(error), str(error)
+
+
 def stdlib_markdown(headers, rows) -> str:
     lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
     lines += ["| " + " | ".join(fmt(cell) for cell in row) + " |" for row in rows]
@@ -191,8 +204,6 @@ remainders = st.recursive(
         st.lists(inner, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(awkward_text, inner, max_size=3),
-        st.dictionaries(st.integers(), inner, max_size=3),
-        st.dictionaries(st.floats(), inner, max_size=3),
     ),
     max_leaves=8,
 )
@@ -214,15 +225,16 @@ class TestEncoderMatchesStdlib:
     def test_records_and_remainder_encode_as_the_stdlib_dump(self, table, remainder):
         headers, rows = table
         records = [dict(zip(headers, row)) for row in rows]
-        got = render_json({"rows": _Table(headers, rows), "rest": remainder})
+        got = render_json({"rows": table_of(headers, rows), "rest": remainder})
         assert got == stdlib_json({"rows": records, "rest": remainder})
 
     @given(table=record_tables(), cut=st.tuples(st.integers(0, 5), st.integers(0, 5)))
     def test_csv_and_markdown_cut_format_each_cell_as_fmt(self, table, cut):
         headers, rows = table
         lo, hi = sorted(cut)
-        shared = _Table(headers, rows)
-        assert _csv(shared) == stdlib_csv(headers, rows)
+        shared = table_of(headers, rows)
+        # Python 3.10's csv writer rejects a NUL; _csv must raise what it raises
+        assert outcome(_csv, shared) == outcome(stdlib_csv, headers, rows)
         assert _markdown(shared[lo:hi]) == stdlib_markdown(
             headers[lo:hi], [row[lo:hi] for row in rows]
         )
@@ -247,17 +259,23 @@ class TestEncoderMatchesStdlib:
             ])
         if special:
             rows[1500][1] = f"d{special}x"
-        table = _Table(headers, rows)
+        table = table_of(headers, rows)
         records = [dict(zip(headers, row)) for row in rows]
         assert render_json({"rows": table}) == stdlib_json({"rows": records})
         assert _csv(table) == stdlib_csv(headers, rows)
         assert _markdown(table) == stdlib_markdown(headers, rows)
 
     def test_nested_table_and_empty_containers(self):
-        payload = {"a": [{"t": _Table(("y", "x"), [[1.23456, "q"]])}], "b": [], "c": {}, "d": ()}
+        payload = {"a": [{"t": table_of(("y", "x"), [[1.23456, "q"]])}], "b": [], "c": {}, "d": ()}
         expected = {"a": [{"t": [{"y": 1.23456, "x": "q"}]}], "b": [], "c": {}, "d": []}
         assert render_json(payload) == stdlib_json(expected)
 
     def test_unserializable_value_raises_type_error(self):
         with pytest.raises(TypeError):
             render_json({"a": {1, 2}})
+
+    @pytest.mark.parametrize("payload", [{"a": {1: "x"}}, {"t": table_of((1,), [["x"]])}],
+                             ids=["dict-key", "table-header"])
+    def test_int_key_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            render_json(payload)

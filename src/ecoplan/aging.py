@@ -33,15 +33,13 @@ class SlackCurve:
         ):
             raise ValidationError(f"{where} points must be [temperature, slack] pairs")
         pts = tuple(
-            (_require_finite(t, f"{where} temperature"), _require_finite(s, f"{where} slack"))
+            (_require_finite(t, f"{where} temperature"),
+             _require_number(s, _REAL, 0, False, None, f"{where} slack"))
             for t, s in self.points
         )
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValidationError(f"curve {self.platform!r} needs at least 2 points")
-        for _, slack in pts:
-            if slack < 0:
-                raise ValidationError(f"curve {self.platform!r} has negative slack {slack}")
         temps = [t for t, _ in pts]
         if any(b <= a for a, b in zip(temps, temps[1:])):
             raise ValidationError(
@@ -68,8 +66,8 @@ class FabricRegion:
 
     def __post_init__(self) -> None:
         _require_text(self.id, "region id")
-        _require_number(self.capacity, _REAL, 0, True, None, "region %r capacity", self.id)
-        _require_number(self.health_factor, _REAL, 0, True, 1, "region %r health_factor", self.id)
+        _require_number(self.capacity, _REAL, 0, True, None, f"region {self.id!r} capacity")
+        _require_number(self.health_factor, _REAL, 0, True, 1, f"region {self.id!r} health_factor")
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,8 @@ class LogicBlock:
 
     def __post_init__(self) -> None:
         _require_text(self.id, "block id")
-        _require_number(self.size, _REAL, 0, True, None, "block %r size", self.id)
-        _require_text(self.region, "block %r region", self.id)
+        _require_number(self.size, _REAL, 0, True, None, f"block {self.id!r} size")
+        _require_text(self.region, f"block {self.id!r} region")
 
 
 @dataclass(frozen=True)

@@ -105,11 +105,10 @@ class SweepSpec:
         lifetime in hours is not finite, and shared by every later one."""
         lifetimes = sorted(map(float, self.lifetimes_years))
         volumes = sorted(map(int, self.volumes))
-        lifetime_hours = [_require_finite(years * HOURS_PER_YEAR, "lifetime_hours")
-                          for years in lifetimes]
-        fixed_hours = _require_finite(
-            self.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR, "lifetime_hours"
-        )
+        what = "carbon sweep lifetimes_years in hours"
+        lifetime_hours = [_require_finite(years * HOURS_PER_YEAR, what) for years in lifetimes]
+        fixed_hours = _require_finite(self.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR,
+                                      "carbon sweep fixed_lifetime_for_volume_sweep_years in hours")
         keys = (*(Scenario("lifetime_years", years) for years in lifetimes),
                 *(Scenario("volume", float(volume)) for volume in volumes))
         return keys, lifetime_hours, fixed_hours, volumes

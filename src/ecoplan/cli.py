@@ -183,8 +183,10 @@ def cmd_carbon(config: RunConfig) -> dict[str, str]:
         raise ValidationError("config has no 'carbon' section")
     section = config.carbon
     base_keys = [f for f in _fields_of(carbon_mod.CarbonParams)[0] if f not in _CARBON_DERIVED]
+    hours = section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR
     base = carbon_mod.CarbonParams(
-        lifetime_hours=section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR,
+        lifetime_hours=_require_number(hours, _REAL, 0, True, None,
+                                       "carbon anchor_lifetime_years in hours"),
         e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
         **_check_keys(section["base"], base_keys, "carbon base"),
     )
@@ -249,7 +251,7 @@ def cmd_aging(config: RunConfig) -> dict[str, str]:
         raise ValidationError("config has no 'aging' section")
     section = config.aging
     if not section["curves"]:
-        raise ValidationError("aging config requires 'curves'")
+        raise ValidationError("aging curves must be non-empty")
     curves = [aging_mod.SlackCurve(platform, points)
               for platform, points in sorted(section["curves"].items())]
     temp = config.temperature_c

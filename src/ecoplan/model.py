@@ -52,60 +52,52 @@ class SchemaVersionError(ValidationError):
     """The file declares a schema_version this package does not understand."""
 
 
-def _label(what: str, args: tuple[Any, ...]) -> str:
-    return what % args if args else what
-
-
 _INT = (int,)
 _REAL = (int, float)
 
 
 def _require_number(
-    value: Any, types: tuple[type, ...], low: int | None, strict: bool, high: int | None,
-    what: str, *args: Any,
+    value: Any, types: tuple[type, ...], low: int | None, strict: bool, high: int | None, what: str
 ) -> float:
     """``value`` as a finite float: one of ``types`` (never a bool), above
     ``low`` (or at it unless ``strict``) and at most ``high`` (None: no bound).
-    ``what % args`` names it in the error and is only formatted on a failure.
-    An int beyond the float range is rejected here rather than overflowing in
-    later arithmetic."""
-    # the exact type first: one lookup is cheaper than two isinstance calls
-    if value.__class__ not in types and (not isinstance(value, types) or isinstance(value, bool)):
+    ``what`` names it in the error. An int beyond the float range is rejected
+    here rather than overflowing in later arithmetic."""
+    if not isinstance(value, types) or isinstance(value, bool):
         kind = "a real number" if float in types else "an integer"
-        raise ValidationError(f"{_label(what, args)} must be {kind}, got {value!r}")
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise ValidationError(
-            f"{_label(what, args)} must be finite, got an integer too large for a float"
-        ) from None
+        raise ValidationError(f"{what} must be finite, got an integer too large "
+                              "for a float") from None
     if not math.isfinite(number):
-        raise ValidationError(f"{_label(what, args)} must be finite, got {number!r}")
+        raise ValidationError(f"{what} must be finite, got {number!r}")
     if low is not None and not (number > low if strict else number >= low) or (
         high is not None and number > high
     ):
         bound = (f"be {'>' if strict else '>='} {low}" if high is None
                  else f"lie in {'(' if strict else '['}{low}, {high}]")
-        raise ValidationError(f"{_label(what, args)} must {bound}")
+        raise ValidationError(f"{what} must {bound}")
     return number
 
 
-def _require_finite(value: Any, what: str, *args: Any) -> float:
+def _require_finite(value: Any, what: str) -> float:
     """``value``, an int or float, as a finite float."""
-    return _require_number(value, _REAL, None, False, None, what, *args)
+    return _require_number(value, _REAL, None, False, None, what)
 
 
-def _require_text(value: Any, what: str, *args: Any) -> str:
+def _require_text(value: Any, what: str) -> str:
     """``value``, a non-empty string without NUL that encodes as UTF-8. JSON
     can spell both a NUL and a lone surrogate; Python 3.10's ``csv`` rejects a NUL."""
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{_label(what, args)} must be a non-empty string, got {value!r}")
+        raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
     if "\0" in value:
-        raise ValidationError(f"{_label(what, args)} must not contain NUL, got {value!r}")
+        raise ValidationError(f"{what} must not contain NUL, got {value!r}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise ValidationError(f"{_label(what, args)} must encode as UTF-8, got {value!r}") from None
+        raise ValidationError(f"{what} must encode as UTF-8, got {value!r}") from None
     return value
 
 
@@ -138,12 +130,20 @@ def _check_keys(
     return raw
 
 
+def _object_of(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict: a key given twice is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _require_unique([key for key, _ in pairs], "key %r given twice")
+    return obj
+
+
 def _read_json_object(
     path: str | Path, allowed: Sequence[str], required: Sequence[str] = ()
 ) -> Mapping[str, Any]:
-    """Parse a UTF-8 JSON file that must hold an object with known keys."""
-    try:  # bad UTF-8, deep nesting and overlong integers too
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 JSON file that must hold an object with known keys, each given once."""
+    try:  # bad UTF-8, deep nesting, overlong integers and repeated keys too
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object_of)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     return _check_keys(raw, allowed, str(path), required)
@@ -202,13 +202,11 @@ class IpProfile:
 
     def __post_init__(self) -> None:
         ip_id = _require_text(self.id, "IP id")
-        if not isinstance(self.name, str) or not self.name:
-            self._fail("name", "must be a non-empty string")
-        _require_text(self.name, _FIELD, ip_id, "name")  # that it encodes as UTF-8
+        _require_text(self.name, _FIELD % (ip_id, "name"))
         for fname, types, low, strict, high in _IP_NUMBERS:
             value = getattr(self, fname)
             if value is not None or _IP_DEFAULTS[fname] is not None:
-                value = _require_number(value, types, low, strict, high, _FIELD, ip_id, fname)
+                value = _require_number(value, types, low, strict, high, _FIELD % (ip_id, fname))
             if fname == "logic_mapped_to_efpga" and value > float(self.total_logic):
                 self._fail(fname, "must not exceed total_logic")
 
@@ -221,10 +219,7 @@ class IpProfile:
             for platform, value in metrics.items():
                 if platform not in PLATFORMS:
                     self._fail(fname, f"unknown platform {platform!r} (expected one of {PLATFORMS})")
-                if _require_number(
-                    value, _REAL, None, False, None, _ENTRY, ip_id, fname, platform
-                ) < 0:
-                    self._fail(fname, f"value for platform {platform!r} must be >= 0")
+                _require_number(value, _REAL, 0, False, None, _ENTRY % (ip_id, fname, platform))
 
     def _fail(self, fname: str, why: str) -> None:
         raise ValidationError(f"IP {self.id!r} field {fname!r} {why}")
@@ -266,7 +261,7 @@ def validate_weights(weights: ScoreWeights) -> ScoreWeights:
     Raises ValidationError naming the offending component or vector.
     """
     for fname in _fields_of(ScoreWeights)[0]:
-        _require_number(getattr(weights, fname), _REAL, 0, False, 1, "weight %r", fname)
+        _require_number(getattr(weights, fname), _REAL, 0, False, 1, f"weight {fname!r}")
     quad = weights.alpha + weights.beta + weights.gamma + weights.delta
     if abs(quad - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValidationError(f"weight sum alpha+beta+gamma+delta must equal 1, got {quad}")

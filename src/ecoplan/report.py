@@ -1,9 +1,10 @@
 """Report rendering and emission: JSON, CSV, and markdown, plus the
 cross-platform metric comparison.
 
-Each ``*_report_files`` function only declares its report: a file stem, the
-JSON payload, one CSV table, and the markdown parts in order (tables and
-literal text). The single renderer ``_render`` writes each requested format.
+Each ``*_report_files`` function only declares its report: a file stem (also
+the JSON ``"report"`` value), the JSON payload, one CSV table, and the
+markdown parts in order (tables and literal text). The single renderer
+``_render`` writes each requested format.
 
 Report files are deterministic: keys are sorted, row order is fixed by the
 pipeline, no timestamps are embedded, and every floating-point value is
@@ -258,7 +259,7 @@ def _render(
 ) -> dict[str, str]:
     """Render one declared report: a file per requested format, in FORMATS order."""
     renderers = {
-        "json": lambda: render_json(payload),
+        "json": lambda: render_json({"report": stem, **payload}),
         "csv": lambda: _csv(table),
         "markdown": lambda: "".join(
             part if isinstance(part, str) else _markdown(part) for part in markdown
@@ -318,7 +319,7 @@ def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> di
     columns = [list(range(1, len(cards) + 1))]
     columns += ([getattr(card, name) for card in cards] for name in _SCORE_FIELDS)
     table = _Table(_SCORE_HEADERS, columns)
-    return _render("score", formats, {"report": "score", "cards": table}, table, [table[1:8]])
+    return _render("score", formats, {"cards": table}, table, [table[1:8]])
 
 
 # --- partition report --------------------------------------------------------
@@ -329,7 +330,6 @@ def partition_report_files(
 ) -> dict[str, str]:
     efpga, asic = sorted(plan.efpga_ips), sorted(plan.asic_ips)
     summary = {
-        "report": "partition",
         "method": plan.method,
         "capacity": budget.capacity,
         "used_area": plan.used_area,
@@ -376,7 +376,6 @@ def carbon_report_files(
     designs = sorted(comparisons)
     reductions = [comparisons[design_id].mean_reduction for design_id in designs]
     payload = {
-        "report": "carbon",
         "cells": table,
         "reductions_vs_fpga": dict(zip(designs, reductions)),
         "mean_reduction": mean_reduction,
@@ -494,7 +493,6 @@ def compare_report_files(
     )
     series = _Table(("metric", "series", "x", "y"), comparison.series)
     payload = {
-        "report": "compare",
         "ours": comparison.ours,
         "baseline": comparison.baseline,
         "aggregates": {k: dict(v) for k, v in comparison.aggregates.items()},
@@ -518,7 +516,6 @@ def aging_report_files(
         platforms, [temperature_c] * len(platforms), list(map(slacks_at_temp.get, platforms))
     ])
     payload: dict[str, Any] = {
-        "report": "aging",
         "temperature_c": temperature_c,
         "slack_ns": dict(slacks_at_temp),
         "curves": {curve.platform: curve.points for curve in curves},

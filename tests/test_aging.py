@@ -30,7 +30,7 @@ class TestSlackCurve:
             SlackCurve(platform="x", points=((25.0, 10.0), (25.0, 9.0)))
 
     def test_negative_slack_rejected(self):
-        with pytest.raises(ValidationError, match="negative"):
+        with pytest.raises(ValidationError, match="curve 'x' slack must be >= 0"):
             SlackCurve(platform="x", points=((25.0, 1.0), (30.0, -0.5)))
 
     @pytest.mark.parametrize(

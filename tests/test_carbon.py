@@ -188,12 +188,17 @@ class TestSweep:
             Scenario("volume", 6000.0), Scenario("volume", 90_000.0),
         ]
 
-    @pytest.mark.parametrize("lifetimes, fixed", [((1.0, 1e305), 1.0), ((1.0,), 1e305)],
-                             ids=["lifetime-cell", "volume-cells"])
-    def test_lifetime_overflowing_to_inf_is_rejected(self, lifetimes, fixed):
+    @pytest.mark.parametrize(
+        "lifetimes, fixed, key",
+        [((1.0, 1e305), 1.0, "lifetimes_years"),
+         ((1.0,), 1e305, "fixed_lifetime_for_volume_sweep_years")],
+        ids=["lifetime-cell", "volume-cells"],
+    )
+    def test_lifetime_overflowing_to_inf_is_rejected(self, lifetimes, fixed, key):
         spec = SweepSpec(lifetimes_years=lifetimes, volumes=(1,),
                          fixed_lifetime_for_volume_sweep_years=fixed)
-        with pytest.raises(ValidationError, match="lifetime_hours must be finite, got inf"):
+        message = f"carbon sweep {key} in hours must be finite, got inf"
+        with pytest.raises(ValidationError, match=message):
             sweep(spec, anchor_base(), design_id="d1", platform="ecologic")
 
 

@@ -402,7 +402,50 @@ def six_ip(change):
     return mutate
 
 
+def _objects(value):
+    """Every JSON object in ``value``, outermost first."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _objects(item)
+
+
+def _dumps_repeating(value, target, key):
+    """``value`` as JSON text, with the ``key`` entry of the object ``target`` written twice."""
+    if isinstance(value, dict):
+        pairs = [*value.items(), *([(key, value[key])] if value is target else [])]
+        return "{%s}" % ", ".join(
+            f"{json.dumps(k)}: {_dumps_repeating(v, target, key)}" for k, v in pairs
+        )
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(_dumps_repeating(v, target, key) for v in value)
+    return json.dumps(value)
+
+
 class TestConfigStrictness:
+    @pytest.mark.parametrize("repeated", ["config", "dataset"])
+    def test_each_key_given_twice_is_parse_error(self, write_config, tmp_path, capsys, repeated):
+        """Each key of each object in the file, once written twice with the same value."""
+        config = write_config()
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        path = config
+        if repeated == "dataset":
+            path = tmp_path / "dataset.json"
+            config.write_text(json.dumps({**raw, "dataset": str(path)}), encoding="utf-8")
+            raw = json.loads(fixture_path("six_ip_soc.json").read_text(encoding="utf-8"))
+        path.write_text(_dumps_repeating(raw, None, None), encoding="utf-8")
+        assert run_cli("score", "--config", config, "--out", tmp_path / "control") == 0
+        cases = [(obj, key) for obj in _objects(raw) for key in obj]
+        assert len(cases) > 40
+        out = tmp_path / "o"
+        for obj, key in cases:
+            path.write_text(_dumps_repeating(raw, obj, key), encoding="utf-8")
+            assert run_cli("score", "--config", config, "--out", out) == 1
+            assert f"{path}: not valid JSON: key {key!r} given twice" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unknown_config_key_rejected(self, write_config, tmp_path, capsys):
         config = write_config(lambda raw: raw.update(notes="hi"))
         assert run_cli("score", "--config", config, "--out", tmp_path / "o") == 1
@@ -565,7 +608,7 @@ class TestConfigStrictness:
              "curve platform must encode as UTF-8"),
             ("aging", lambda raw: raw["aging"]["curves"].update({"": [[25, 1], [140, 1]]}),
              "curve platform must be a non-empty string"),
-            ("aging", lambda raw: raw["aging"].update(curves={}), "aging config requires 'curves'"),
+            ("aging", lambda raw: raw["aging"].update(curves={}), "aging curves must be non-empty"),
             ("aging", lambda raw: raw["aging"].pop("temperature_c"),
              "no temperature given (config temperature_c or --temperature)"),
             ("aging --temperature 200", None,
@@ -586,6 +629,15 @@ class TestConfigStrictness:
              "carbon sweep lifetimes_years must be non-empty"),
             ("carbon", lambda raw: raw["carbon"]["sweep"].update(volumes=[]),
              "carbon sweep volumes must be non-empty"),
+            ("carbon", lambda raw: raw["carbon"].update(anchor_lifetime_years=0),
+             "carbon anchor_lifetime_years in hours must be > 0"),
+            ("carbon", lambda raw: raw["carbon"].update(anchor_lifetime_years=1e306),
+             "carbon anchor_lifetime_years in hours must be finite, got inf"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(lifetimes_years=[1e306]),
+             "carbon sweep lifetimes_years in hours must be finite, got inf"),
+            ("carbon", lambda raw: raw["carbon"]["sweep"].update(
+                fixed_lifetime_for_volume_sweep_years=1e306),
+             "carbon sweep fixed_lifetime_for_volume_sweep_years in hours must be finite, got inf"),
             ("score", lambda raw: raw.update(formats=[]), "at least one output format is required"),
             ("score --formats xml", None, "unknown format(s): xml"),
             ("score", six_ip(lambda data: data.update(schema_version="2")),
@@ -619,7 +671,9 @@ class TestConfigStrictness:
              "curves-empty", "temperature-missing", "temperature-outside-curve",
              "curve-one-point", "curve-point-short", "block-unknown-region", "capacity-missing",
              "carbon-section-missing", "aging-section-missing", "anchors-empty",
-             "lifetimes-empty", "volumes-empty", "formats-empty", "format-unknown-flag",
+             "lifetimes-empty", "volumes-empty", "anchor-lifetime-zero",
+             "anchor-lifetime-overflow", "lifetime-overflow", "fixed-lifetime-overflow",
+             "formats-empty", "format-unknown-flag",
              "dataset-schema-version", "dataset-ips-empty", "compare-same-platform",
              "dataset-without-power"],
     )

@@ -130,8 +130,9 @@ REJECTED = [
                  id="null-churn"),
     pytest.param({"id": ""}, "IP id must be a non-empty string, got ''", id="empty-id"),
     pytest.param({"id": 5}, "IP id must be a non-empty string, got 5", id="int-id"),
-    pytest.param({"name": ""}, "IP 'ip0' field 'name' must be a non-empty string", id="empty-name"),
-    pytest.param({"name": ["x"]}, "IP 'ip0' field 'name' must be a non-empty string",
+    pytest.param({"name": ""}, "IP 'ip0' field 'name' must be a non-empty string, got ''",
+                 id="empty-name"),
+    pytest.param({"name": ["x"]}, "IP 'ip0' field 'name' must be a non-empty string, got ['x']",
                  id="list-name"),
     # JSON can spell a lone surrogate, which no report file can hold
     pytest.param({"id": "a\ud800"}, "IP id must encode as UTF-8, got 'a\\ud800'",
@@ -148,8 +149,7 @@ REJECTED = [
                  "IP 'ip0' field 'slack_ns' unknown platform 'gpu' "
                  "(expected one of ('asic', 'fpga', 'ecologic'))", id="unknown-platform"),
     pytest.param({"area_mm2": {"asic": 0, "fpga": -1}},
-                 "IP 'ip0' field 'area_mm2' value for platform 'fpga' must be >= 0",
-                 id="negative-map-value"),
+                 "IP 'ip0' field 'area_mm2[fpga]' must be >= 0", id="negative-map-value"),
     pytest.param({"power_mw": {"ecologic": "1"}},
                  "IP 'ip0' field 'power_mw[ecologic]' must be a real number, got '1'",
                  id="string-map-value"),
@@ -157,7 +157,8 @@ REJECTED = [
     pytest.param({"id": "", "name": ""}, "IP id must be a non-empty string, got ''",
                  id="id-before-name"),
     pytest.param({"name": "", "loc_changed": -1},
-                 "IP 'ip0' field 'name' must be a non-empty string", id="name-before-numbers"),
+                 "IP 'ip0' field 'name' must be a non-empty string, got ''",
+                 id="name-before-numbers"),
     pytest.param({"loc_changed": -1, "churn_window": 0}, AT_LEAST % ("loc_changed", 0),
                  id="loc-before-churn"),
     pytest.param({"churn_window": 0, "confidentiality_risk": 2}, AT_LEAST % ("churn_window", 1),

@@ -179,10 +179,7 @@ def remap(
                 f"its capacity {region.capacity}"
             )
 
-    # as min_slack: base >= 0, so the least health gives the least base * health
-    base = slack_at(base_curve, temp)
-    before = base * min(index[rid].health_factor for rid in current.values())
-
+    before = min_slack(current, regions, base_curve, temp)
     by_health = sorted(index.values(), key=lambda r: (-r.health_factor, r.id))
     candidate: dict[str, str] = {}
     for block in sorted(blocks, key=lambda b: (-b.size, b.id)):
@@ -194,7 +191,7 @@ def remap(
         candidate[block.id] = target
         capacity_of[target] -= size
 
-    after = base * min(index[rid].health_factor for rid in candidate.values())
+    after = min_slack(candidate, regions, base_curve, temp)
     if after > before:
         return RemapPlan(assignment=candidate, min_slack_before=before, min_slack_after=after)
     return RemapPlan(assignment=dict(current), min_slack_before=before, min_slack_after=before)

@@ -8,7 +8,8 @@ whichever subcommand runs; ``_FLAGS`` maps each flag to the ``RunConfig``
 field it replaces; ``_COMMANDS`` gives each subcommand's ``cmd_*`` and flags.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
-On any error the output directory is left without new files.
+An error leaves no temp file in the output directory and no new file, unless
+a rename failed: the files renamed before it stay.
 
 ``import ecoplan.cli`` loads only the model and report layers; each
 ``cmd_*`` imports the layers it runs, so a subcommand pays only for those.

@@ -10,7 +10,8 @@ Report files are deterministic: keys are sorted, row order is fixed by the
 pipeline, no timestamps are embedded, and every floating-point value is
 printed with 4 significant digits (internal math stays full precision).
 Writes are staged through temp files, under names that no other run can be
-using, so a failing command never leaves a partial report behind.
+using, and renamed once all are written, so only a failed rename leaves part
+of a report behind.
 
 A declared table (``_Table``) holds its columns and the kind (the one type
 of its values) and ``fmt`` text of each, made once when the table is built.
@@ -64,13 +65,13 @@ _FORMAT4 = "{:.4g}".format
 
 def round4(value: float) -> float:
     """Round to 4 significant digits (report precision)."""
-    return float(f"{value:.4g}")
+    return float(_FORMAT4(value))
 
 
 def fmt(value: Any) -> str:
     """Format one report value: floats at 4 significant digits."""
     if isinstance(value, float):
-        return f"{value:.4g}"
+        return _FORMAT4(value)
     return str(value)
 
 
@@ -269,16 +270,18 @@ def _render(
 
 
 def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
-    """Atomically materialize the rendered files in ``out_dir``.
+    """Materialize the rendered files in ``out_dir``, each by one atomic rename.
 
     Content is staged into temp files first and renamed only after every
-    stage write succeeded, so an error leaves no partial outputs and no
-    directory this call made. Each call stages under names of its own, so
-    runs sharing ``out_dir`` never touch each other's temp files.
+    stage write succeeded. An error leaves no temp file and no directory this
+    call made; files renamed before a failed rename stay. Each call stages
+    under names of its own, so runs sharing ``out_dir`` never touch each
+    other's temp files.
     """
     out = Path(out_dir)
     new_dirs = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
-    staged: list[tuple[Path, Path]] = []
+    staged: list[tuple[Path, Path]] = []  # (temp, final) pairs not yet renamed
+    written: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
@@ -292,6 +295,9 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
             staged.append((tmp, out / name))
             with open(fd, "w", encoding="utf-8") as stream:
                 stream.write(text)
+        while staged:
+            os.replace(*staged[0])
+            written.append(staged.pop(0)[1])
     except BaseException:  # an encoding error too; the error is raised again
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -299,10 +305,6 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
-    written = []
-    for tmp, final in staged:
-        os.replace(tmp, final)
-        written.append(final)
     return written
 
 

@@ -9,7 +9,7 @@ The four sub-scores are dimensionless and live in [0, 1]:
 
 The composite is the convex combination alpha*A + beta*O + gamma*P + delta*R,
 and the normalized column divides every composite by the set maximum so the
-best candidate reads 1.0.
+best candidate reads 1.0. :func:`score_dataset` maps these per-IP functions over a dataset.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def adaptability(loc_changed: int, max_loc_changed: int) -> float:
     changed at all (max == 0) the score is defined as 0 for everyone: no
     churn anywhere means no adaptability pressure.
     """
-    if loc_changed < 0 or max_loc_changed < 0:
+    if not (loc_changed >= 0 and max_loc_changed >= 0):
         raise ValueError("loc counts must be >= 0")
     if loc_changed > max_loc_changed:
         raise ValueError(
@@ -63,9 +63,9 @@ def exposure(io_control_nets: int, internal_nets_and_state: int) -> float:
     The raw quotient is returned unclamped (it can exceed 1 for pathological
     IPs); the piracy-threat combination clamps it at 1.
     """
-    if internal_nets_and_state <= 0:
+    if not internal_nets_and_state > 0:
         raise ValueError("internal_nets_and_state must be > 0")
-    if io_control_nets < 0:
+    if not io_control_nets >= 0:
         raise ValueError("io_control_nets must be >= 0")
     return io_control_nets / internal_nets_and_state
 
@@ -74,7 +74,7 @@ def redaction_ratio(mapped: float, total: float) -> float:
     """Fraction of the IP's logic that can be moved into the fabric; the two
     amounts are compared as floats, as :class:`ecoplan.model.IpProfile` does."""
     mapped, total = float(mapped), float(total)
-    if total <= 0:
+    if not total > 0:
         raise ValueError("total logic must be > 0")
     if not 0 <= mapped <= total:
         raise ValueError(f"mapped logic must lie in [0, total], got {mapped} of {total}")
@@ -94,7 +94,7 @@ def piracy_threat(
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
     if not 0.0 <= redaction <= 1.0:
         raise ValueError(f"redaction must lie in [0, 1], got {redaction}")
-    if exposure_ratio < 0.0:
+    if not exposure_ratio >= 0.0:
         raise ValueError(f"exposure must be >= 0, got {exposure_ratio}")
     threat = weights.mu * confidentiality + weights.nu * min(exposure_ratio, 1.0)
     return min(threat + weights.xi * redaction, 1.0)
@@ -107,7 +107,7 @@ def performance_tolerance(f_asic: float, f_efpga: float) -> float:
     hardened one; otherwise the convex combination bound of the composite
     would not hold.
     """
-    if f_asic <= 0 or f_efpga <= 0:
+    if not (f_asic > 0 and f_efpga > 0):
         raise ValueError("frequencies must be > 0")
     return min(f_efpga / f_asic, 1.0)
 
@@ -118,7 +118,7 @@ def resource_fit(area: float, a_min: float, a_max: float) -> float:
     The smallest IP in the set scores 1, the largest 0. When all areas are
     equal there is no differentiation and every IP scores 1.
     """
-    if a_min > a_max:
+    if not a_min <= a_max:
         raise ValueError(f"a_min ({a_min}) exceeds a_max ({a_max})")
     if not a_min <= area <= a_max:
         raise ValueError(f"area {area} outside observed range [{a_min}, {a_max}]")
@@ -135,10 +135,12 @@ def composite(
     weights: ScoreWeights,
 ) -> float:
     """Convex combination alpha*A + beta*O + gamma*P + delta*R."""
-    subs = (adaptability_score, piracy_score, performance_score, resource_score)
-    for name, value in zip(("adaptability", "piracy", "performance", "resource"), subs):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} sub-score must lie in [0, 1], got {value}")
+    if not (0.0 <= adaptability_score <= 1.0 and 0.0 <= piracy_score <= 1.0
+            and 0.0 <= performance_score <= 1.0 and 0.0 <= resource_score <= 1.0):
+        subs = (adaptability_score, piracy_score, performance_score, resource_score)
+        for name, value in zip(("adaptability", "piracy", "performance", "resource"), subs):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} sub-score must lie in [0, 1], got {value}")
     return (
         weights.alpha * adaptability_score
         + weights.beta * piracy_score
@@ -155,7 +157,7 @@ def normalize_composites(values: Sequence[float]) -> list[float]:
     """
     if not values:
         raise ValueError("cannot normalize an empty composite list")
-    if any(v < 0 for v in values):
+    if not all(v >= 0 for v in values):
         raise ValueError("composites must be >= 0")
     top = max(values)
     if top == 0:
@@ -174,9 +176,9 @@ def score_dataset(
     """Score every IP and return cards ranked best-first.
 
     Dataset-wide quantities (max churn, min/max area) are taken over the
-    given dataset. Each column is one pass that evaluates the float expression
-    of :func:`adaptability` ... :func:`composite`, so the cards equal theirs;
-    the dataset has made their input checks. Cards are ranked by :func:`rank_cards`.
+    given dataset. Each column maps its public per-IP function, :func:`exposure`
+    ... :func:`resource_fit`, over the IPs, and the composites map
+    :func:`composite`. Cards are ranked by :func:`rank_cards`.
 
     ``normalize_piracy`` additionally divides the piracy-threat column by its
     maximum before the composite step. This mirrors score tables that report
@@ -189,26 +191,20 @@ def score_dataset(
     areas = [ip.area for ip in ips]
     max_loc, a_min, a_max = max(locs), min(areas), max(areas)
 
-    expo = [ip.io_control_nets / ip.internal_nets_and_state for ip in ips]
-    redact = [float(ip.logic_mapped_to_efpga) / float(ip.total_logic) for ip in ips]
-    mu, nu, xi = weights.mu, weights.nu, weights.xi
-    piracy = [min(mu * ip.confidentiality_risk + nu * min(e, 1.0) + xi * r, 1.0)
+    expo = [exposure(ip.io_control_nets, ip.internal_nets_and_state) for ip in ips]
+    redact = [redaction_ratio(ip.logic_mapped_to_efpga, ip.total_logic) for ip in ips]
+    piracy = [piracy_threat(ip.confidentiality_risk, e, r, weights)
               for ip, e, r in zip(ips, expo, redact)]
     if normalize_piracy:
         top = max(piracy)
         if top > 0:
             piracy = [value / top for value in piracy]
 
-    log_max, span = math.log1p(max_loc), a_max - a_min
     ids = [ip.id for ip in ips]
-    cards = _cards(
-        ids,
-        [math.log1p(loc) / log_max for loc in locs] if max_loc else [0.0] * len(ips),
-        piracy,
-        [min(ip.f_max_efpga / ip.f_max_asic, 1.0) for ip in ips],
-        [(a_max - area) / span for area in areas] if span else [1.0] * len(ips),
-        weights, expo, redact,
-    )
+    adapt = list(map(adaptability, locs, repeat(max_loc)))
+    perf = [performance_tolerance(ip.f_max_asic, ip.f_max_efpga) for ip in ips]
+    fit = list(map(resource_fit, areas, repeat(a_min), repeat(a_max)))
+    cards = _cards(ids, adapt, piracy, perf, fit, weights, expo, redact)
     return rank_cards(cards, dict(zip(ids, areas)))
 
 
@@ -217,16 +213,10 @@ def _cards(
     fit: Sequence[float], weights: ScoreWeights, *raw: Sequence[float | None],
 ) -> list[ScoreCard]:
     """Unranked cards from one column per sub-score, plus the exposure and
-    redaction columns as ``raw`` (all None without raw inputs). Composites use
-    :func:`composite`'s expression, and a sub-score outside [0, 1] gets its
-    error for the first row that has one."""
-    alpha, beta, gamma, delta = weights.alpha, weights.beta, weights.gamma, weights.delta
-    composites = [alpha * a + beta * o + gamma * p + delta * r
-                  for a, o, p, r in zip(adapt, piracy, perf, fit)]
+    redaction columns as ``raw`` (all None without raw inputs). Composites map
+    :func:`composite`, so the first row with a sub-score outside [0, 1] is named."""
     columns = (adapt, piracy, perf, fit)
-    # min and max pass over a NaN that is not first; the NaN composite shows it
-    if not all(0.0 <= min(c) and max(c) <= 1.0 for c in columns) or math.isnan(sum(composites)):
-        list(map(composite, *columns, repeat(weights)))
+    composites = list(map(composite, *columns, repeat(weights)))
     normalized = normalize_composites(composites)
     return _build(ScoreCard, (ids, *columns, composites, normalized, *raw))
 

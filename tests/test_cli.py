@@ -80,6 +80,28 @@ class TestScoreCommand:
         assert not out.exists()
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_rename_leaves_no_temp_file(self, write_config, tmp_path, monkeypatch, k):
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ["score.json", "score.csv", "score.md"]  # the order of the renames
+        for name in names:
+            (out / name).write_text("old\n", encoding="utf-8")
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise PermissionError(f"rename {k} refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run_cli("score", "--config", write_config(), "--out", out) == 2
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)  # no *.tmp
+        new = [(out / name).read_text(encoding="utf-8") != "old\n" for name in names]
+        assert new == [i < k - 1 for i in range(len(names))]
+
     def test_lone_surrogate_id_exits_1_without_an_output_directory(
         self, write_config, tmp_path, capsys
     ):

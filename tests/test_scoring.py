@@ -176,6 +176,24 @@ class TestNormalization:
             normalize_composites([])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: adaptability(math.nan, 5), "loc counts must be >= 0"),
+    (lambda: adaptability(1, math.nan), "loc counts must be >= 0"),
+    (lambda: exposure(1, math.nan), "internal_nets_and_state must be > 0"),
+    (lambda: exposure(math.nan, 5), "io_control_nets must be >= 0"),
+    (lambda: piracy_threat(0.5, math.nan, 0.5, W), "exposure must be >= 0, got nan"),
+    (lambda: performance_tolerance(math.nan, 1.0), "frequencies must be > 0"),
+    (lambda: performance_tolerance(1.0, math.nan), "frequencies must be > 0"),
+    (lambda: normalize_composites([1.0, math.nan]), "composites must be >= 0"),
+], ids=["adaptability-loc", "adaptability-max", "exposure-internal", "exposure-io",
+        "piracy-exposure", "performance-asic", "performance-efpga", "normalize"])
+def test_nan_argument_raises_instead_of_scoring(call, message):
+    # each public function is the only statement of its rule, so a NaN must fail its guard
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestScoreDataset:
     def test_fixture_subscore_columns(self, six_ip_dataset):
         """The bundled dataset realizes the case-study sub-score columns."""

@@ -1,11 +1,11 @@
 """Temperature-dependent timing slack and remapping away from degraded regions.
 
-Slack curves are piecewise-linear over strictly increasing temperatures; no
-extrapolation is performed outside the knot range. Region degradation is
-abstracted as a multiplicative health factor in (0, 1] applied to the base
-slack of whatever logic the region hosts (transistor-level aging physics is
-out of scope). The remap planner moves logic blocks toward healthier regions
-and guarantees the minimum effective slack never gets worse.
+Slack curves are piecewise-linear over strictly increasing temperatures in
+finite steps; no extrapolation is performed outside the knot range. Region
+degradation is abstracted as a multiplicative health factor in (0, 1] applied
+to the base slack of whatever logic the region hosts (transistor-level aging
+physics is out of scope). The remap planner moves logic blocks toward
+healthier regions and guarantees the minimum effective slack never gets worse.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ class SlackCurve:
         if len(pts) < 2:
             raise ValidationError(f"curve {self.platform!r} needs at least 2 points")
         temps = [t for t, _ in pts]
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise ValidationError(
-                f"curve {self.platform!r} temperatures must be strictly increasing"
-            )
+        if not all(0 < b - a < math.inf for a, b in zip(temps, temps[1:])):
+            raise ValidationError(f"curve {self.platform!r} temperatures must be strictly "
+                                  "increasing in finite steps")
 
     @property
     def t_min(self) -> float:
@@ -96,7 +95,8 @@ class RemapPlan:
 
 
 def slack_at(curve: SlackCurve, temp: float) -> float:
-    """Interpolate the curve at ``temp``; exact at knots, no extrapolation."""
+    """Interpolate the curve at ``temp``; exact at knots, no extrapolation, and
+    between the slacks of the two knots around it even where rounding is not."""
     _require_finite(temp, "temperature")
     if temp < curve.t_min or temp > curve.t_max:
         raise ValidationError(
@@ -108,7 +108,8 @@ def slack_at(curve: SlackCurve, temp: float) -> float:
     if temp == t1:
         return s1
     t0, s0 = curve.points[i - 1]
-    return s0 + (temp - t0) / (t1 - t0) * (s1 - s0)
+    low, high = sorted((s0, s1))
+    return min(max(s0 + (temp - t0) / (t1 - t0) * (s1 - s0), low), high)
 
 
 def _region_index(regions: Sequence[FabricRegion]) -> dict[str, FabricRegion]:

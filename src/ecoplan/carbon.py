@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import (_INT, _REAL, ValidationError, _require_finite, _require_number,
+from .model import (_INT, _REAL, ValidationError, _mean, _require_finite, _require_number,
                     _require_unique)
 
 HOURS_PER_YEAR = 8760.0
@@ -232,10 +232,7 @@ def compare(ours: CarbonReport, baseline: CarbonReport) -> CarbonComparison:
             raise ValidationError(f"baseline cell {scenario} must be > 0, got {base_value}")
         reductions[scenario] = 1.0 - ours.cells[scenario] / base_value
     _finite(reductions, f"reduction of design {ours.design_id!r}")
-    try:
-        mean = math.fsum(reductions.values()) / len(reductions)
-    except OverflowError:
-        raise ValidationError(f"mean reduction of design {ours.design_id!r} overflows") from None
+    mean = _mean(reductions.values(), f"mean reduction of design {ours.design_id!r} overflows")
     return CarbonComparison(design_id=ours.design_id, cells=reductions, mean_reduction=mean)
 
 
@@ -245,12 +242,10 @@ def mean_reduction_at(
     """Mean reduction for one scenario cell over a declared design subset."""
     if not design_ids:
         raise ValidationError("design subset for the mean reduction must be non-empty")
-    values = []
     for design_id in design_ids:
         if design_id not in comparisons:
             raise ValidationError(f"no comparison available for design {design_id!r}")
-        cells = comparisons[design_id].cells
-        if scenario not in cells:
+        if scenario not in comparisons[design_id].cells:
             raise ValidationError(f"design {design_id!r} has no cell for {scenario}")
-        values.append(cells[scenario])
-    return math.fsum(values) / len(values)
+    values = [comparisons[design_id].cells[scenario] for design_id in design_ids]
+    return _mean(values, f"mean reduction at {scenario.kind} {scenario.value} overflows")

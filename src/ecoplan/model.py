@@ -2,9 +2,9 @@
 
 A dataset is a single UTF-8 JSON file with top-level keys ``schema_version``,
 ``area_unit``, and ``ips``. Parsing is strict: unknown keys are rejected so
-that typos surface as errors instead of silently ignored fields. All types
-are immutable after validation and safe to share across workers. Every
-number must also convert to a finite float.
+that typos surface as errors instead of silently ignored fields. Records
+are frozen, but a map field is a plain dict: mutating one skips
+validation. Every number must also convert to a finite float.
 
 The IP number rules are one table, ``_IP_NUMBERS``. ``IpProfile.__post_init__``
 walks it to word each error; ``load_dataset`` first applies each row to a whole
@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from itertools import chain, repeat
 from operator import le
 from pathlib import Path
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Collection, Hashable, Mapping, Sequence
 
 SCHEMA_VERSION = "1"
 AREA_UNITS = ("um2", "gate_eq")
@@ -113,6 +113,14 @@ def _scaled(values: Sequence[float]) -> list[int]:
     ratios = [v.as_integer_ratio() for v in values]
     denominator = max(d for _, d in ratios)  # powers of two: the max is a multiple of all
     return [num * (denominator // d) for num, d in ratios]
+
+
+def _mean(values: Collection[float], message: str) -> float:
+    """The mean of finite ``values``; ValidationError ``message`` if their sum overflows."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise ValidationError(message) from None
 
 
 def _check_keys(

@@ -47,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from .model import PLATFORMS, Dataset, ValidationError
+from .model import PLATFORMS, Dataset, ValidationError, _mean
 
 if TYPE_CHECKING:  # annotations only; each subcommand imports the layers it runs
     from .aging import RemapPlan, SlackCurve
@@ -461,12 +461,8 @@ def platform_comparison(
         per_platform: dict[str, float] = {}
         for platform in (ours, baseline):
             column = _metric_column(dataset.ips, metric, platform)
-            try:
-                per_platform[platform] = math.fsum(column) / len(column)
-            except OverflowError:
-                raise ValidationError(
-                    f"{metric} values of platform {platform!r} overflow their sum"
-                ) from None
+            per_platform[platform] = _mean(
+                column, f"{metric} values of platform {platform!r} overflow their sum")
             metrics += [metric] * len(ids)
             platforms += [platform] * len(ids)
             ip_ids += ids

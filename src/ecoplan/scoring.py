@@ -46,7 +46,7 @@ def adaptability(loc_changed: int, max_loc_changed: int) -> float:
     changed at all (max == 0) the score is defined as 0 for everyone: no
     churn anywhere means no adaptability pressure.
     """
-    if not (loc_changed >= 0 and max_loc_changed >= 0):
+    if not (loc_changed >= 0 and 0 <= max_loc_changed < math.inf):
         raise ValueError("loc counts must be >= 0")
     if loc_changed > max_loc_changed:
         raise ValueError(
@@ -63,9 +63,9 @@ def exposure(io_control_nets: int, internal_nets_and_state: int) -> float:
     The raw quotient is returned unclamped (it can exceed 1 for pathological
     IPs); the piracy-threat combination clamps it at 1.
     """
-    if not internal_nets_and_state > 0:
+    if not 0 < internal_nets_and_state < math.inf:
         raise ValueError("internal_nets_and_state must be > 0")
-    if not io_control_nets >= 0:
+    if not 0 <= io_control_nets < math.inf:
         raise ValueError("io_control_nets must be >= 0")
     return io_control_nets / internal_nets_and_state
 
@@ -74,7 +74,7 @@ def redaction_ratio(mapped: float, total: float) -> float:
     """Fraction of the IP's logic that can be moved into the fabric; the two
     amounts are compared as floats, as :class:`ecoplan.model.IpProfile` does."""
     mapped, total = float(mapped), float(total)
-    if not total > 0:
+    if not 0.0 < total < math.inf:
         raise ValueError("total logic must be > 0")
     if not 0 <= mapped <= total:
         raise ValueError(f"mapped logic must lie in [0, total], got {mapped} of {total}")
@@ -94,7 +94,7 @@ def piracy_threat(
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
     if not 0.0 <= redaction <= 1.0:
         raise ValueError(f"redaction must lie in [0, 1], got {redaction}")
-    if not exposure_ratio >= 0.0:
+    if not 0.0 <= exposure_ratio < math.inf:
         raise ValueError(f"exposure must be >= 0, got {exposure_ratio}")
     threat = weights.mu * confidentiality + weights.nu * min(exposure_ratio, 1.0)
     return min(threat + weights.xi * redaction, 1.0)
@@ -107,7 +107,7 @@ def performance_tolerance(f_asic: float, f_efpga: float) -> float:
     hardened one; otherwise the convex combination bound of the composite
     would not hold.
     """
-    if not (f_asic > 0 and f_efpga > 0):
+    if not (0.0 < f_asic < math.inf and 0.0 < f_efpga < math.inf):
         raise ValueError("frequencies must be > 0")
     return min(f_efpga / f_asic, 1.0)
 
@@ -118,8 +118,8 @@ def resource_fit(area: float, a_min: float, a_max: float) -> float:
     The smallest IP in the set scores 1, the largest 0. When all areas are
     equal there is no differentiation and every IP scores 1.
     """
-    if not a_min <= a_max:
-        raise ValueError(f"a_min ({a_min}) exceeds a_max ({a_max})")
+    if not 0.0 <= a_max - a_min < math.inf:
+        raise ValueError(f"area range [{a_min}, {a_max}] must be ordered with a finite span")
     if not a_min <= area <= a_max:
         raise ValueError(f"area {area} outside observed range [{a_min}, {a_max}]")
     if a_max == a_min:
@@ -157,7 +157,7 @@ def normalize_composites(values: Sequence[float]) -> list[float]:
     """
     if not values:
         raise ValueError("cannot normalize an empty composite list")
-    if not all(v >= 0 for v in values):
+    if not all(0.0 <= v < math.inf for v in values):
         raise ValueError("composites must be >= 0")
     top = max(values)
     if top == 0:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecoplan.aging import (
     FabricRegion,
@@ -108,6 +112,31 @@ class TestSlackAt:
 
     def test_demo_fixture_anchor_above_eight_at_fifty(self, demo_curves):
         assert slack_at(demo_curves["ecologic"], 50.0) > 8.0
+
+    @given(
+        knots=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(min_value=0.0, allow_infinity=False)),
+                       min_size=2, max_size=6, unique_by=lambda knot: knot[0]),
+        temp=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    # a step of 2e308 degrees: t1 - t0 overflows
+    @example(knots=[(-1e308, 0.0), (1e308, 1.0)], temp=0.0)
+    # temp - t0 rounds to t1 - t0, so the line lands just below the lower slack
+    @example(knots=[(-1e16, 15785908.688160477), (0.0, 0.01840632056195474)], temp=-0.5)
+    @settings(max_examples=500, deadline=None)
+    def test_rejected_or_finite_between_the_bracketing_slacks(self, knots, temp):
+        knots.sort()
+        temps = [t for t, _ in knots]
+        if not all(math.isfinite(b - a) for a, b in zip(temps, temps[1:])):
+            with pytest.raises(ValidationError, match="strictly increasing in finite steps"):
+                SlackCurve(platform="x", points=knots)
+            return
+        curve = SlackCurve(platform="x", points=knots)
+        temp = min(max(temp, temps[0]), temps[-1])
+        value = slack_at(curve, temp)
+        i = max(bisect_left(temps, temp), 1)  # temps[i - 1] <= temp <= temps[i]
+        low, high = sorted(s for _, s in knots[i - 1:i + 1])
+        assert math.isfinite(value) and low <= value <= high
 
 
 class TestMinSlack:

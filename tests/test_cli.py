@@ -406,6 +406,26 @@ class TestAgingCommand:
         assert not out.exists()
 
 
+def mean_reduction_overflow(raw):
+    """A config mutation: two designs whose reductions at 1 year are each about
+    -1e308, so their sum overflows, while each design's own mean stays finite
+    (its cell at 1e-300 years is about -2e10)."""
+    raw["carbon"].update(
+        base={"n_vol": 1000000, "grid_intensity": 700, "cpu_power_per_core_w": 10,
+              "cpu_cores": 8, "rtl_synth_hours": 1e-6, "hls_synth_hours": 0, "config_hours": 0},
+        anchors={"d1": {"ecologic": 1e306, "fpga": 0.01}, "d2": {"ecologic": 1e306, "fpga": 0.01}},
+        sweep={"lifetimes_years": [1e-300, 1.0], "volumes": [1],
+               "fixed_lifetime_for_volume_sweep_years": 1e-300},
+        reduction_designs=["d1", "d2"],
+        reduction_scenario={"kind": "lifetime_years", "value": 1.0},
+    )
+
+
+def slack_step_overflow(raw):
+    """A config mutation: a curve whose one temperature step, 2e308 degrees, overflows."""
+    raw["aging"].update(curves={"ecologic": [[-1e308, 1.0], [1e308, 2.0]]}, temperature_c=9e307)
+
+
 def unpaired(**carbon):
     """A config mutation: one design with only an ecologic anchor, so no design
     is paired, and the ``carbon`` keys given."""
@@ -669,6 +689,9 @@ class TestConfigStrictness:
              "platforms to compare must differ"),
             ("compare", six_ip(lambda data: [ip.pop("power_mw") for ip in data["ips"]]),
              "IP 'd1' has no power_mw value for platform 'ecologic'"),
+            ("carbon", mean_reduction_overflow, "mean reduction at lifetime_years 1.0 overflows"),
+            ("aging", slack_step_overflow,
+             "curve 'ecologic' temperatures must be strictly increasing in finite steps"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -697,7 +720,7 @@ class TestConfigStrictness:
              "anchor-lifetime-overflow", "lifetime-overflow", "fixed-lifetime-overflow",
              "formats-empty", "format-unknown-flag",
              "dataset-schema-version", "dataset-ips-empty", "compare-same-platform",
-             "dataset-without-power"],
+             "dataset-without-power", "mean-reduction-sum-overflow", "slack-step-overflow"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section
@@ -705,7 +728,8 @@ class TestConfigStrictness:
         config = write_config(mutate)
         out = tmp_path / "o"
         assert run_cli(*command.split(), "--config", config, "--out", out) == 1
-        assert section in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert section in err and err.count("\n") == 1, err  # one line, naming the field
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -194,6 +194,30 @@ def test_nan_argument_raises_instead_of_scoring(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: performance_tolerance(math.inf, 1.0), "frequencies must be > 0"),
+    (lambda: performance_tolerance(math.inf, math.inf), "frequencies must be > 0"),
+    (lambda: performance_tolerance(1.0, math.inf), "frequencies must be > 0"),
+    (lambda: adaptability(math.inf, math.inf), "loc counts must be >= 0"),
+    (lambda: exposure(math.inf, math.inf), "internal_nets_and_state must be > 0"),
+    (lambda: exposure(math.inf, 5), "io_control_nets must be >= 0"),
+    (lambda: redaction_ratio(math.inf, math.inf), "total logic must be > 0"),
+    (lambda: piracy_threat(0.5, math.inf, 0.5, W), "exposure must be >= 0, got inf"),
+    (lambda: resource_fit(1.0, -math.inf, math.inf),
+     "area range [-inf, inf] must be ordered with a finite span"),
+    (lambda: resource_fit(math.inf, math.inf, math.inf),
+     "area range [inf, inf] must be ordered with a finite span"),
+    (lambda: normalize_composites([math.inf, 1.0]), "composites must be >= 0"),
+], ids=["performance-asic", "performance-both", "performance-efpga", "adaptability",
+        "exposure-both", "exposure-io", "redaction", "piracy-exposure", "fit-unbounded",
+        "fit-all-infinite", "normalize"])
+def test_infinite_argument_raises_instead_of_scoring(call, message):
+    # an infinite argument used to score 0.0, 1.0 or NaN past the guard
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestScoreDataset:
     def test_fixture_subscore_columns(self, six_ip_dataset):
         """The bundled dataset realizes the case-study sub-score columns."""

@@ -6,6 +6,7 @@ degradation is abstracted as a multiplicative health factor in (0, 1] applied
 to the base slack of whatever logic the region hosts (transistor-level aging
 physics is out of scope). The remap planner moves logic blocks toward
 healthier regions and guarantees the minimum effective slack never gets worse.
+``ecoplan aging`` runs its config section through :func:`run_section`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .model import (_REAL, ValidationError, _require_finite, _require_number, _require_text,
-                    _require_unique, _scaled)
+from .model import (_REAL, ValidationError, _from_dict, _require_finite, _require_number,
+                    _require_text, _require_unique, _scaled)
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,8 @@ def min_slack(
     worst = math.inf
     for block_id, region_id in assignment.items():
         if region_id not in index:
-            raise ValidationError(
-                f"unassigned block: {block_id!r} maps to unknown region {region_id!r}"
-            )
+            raise ValidationError(f"block {block_id!r} currently assigned to unknown region "
+                                  f"{region_id!r}")
         worst = min(worst, base * index[region_id].health_factor)
     return worst
 
@@ -154,18 +154,12 @@ def remap(
     assignment is returned unchanged. Sizes and capacities are compared as
     exact integers, so neither the plan nor an error depends on block order.
     """
-    if not blocks:
-        raise ValidationError("need at least one block")
     ids = [b.id for b in blocks]
     _require_unique(ids, "duplicate block id %r")
     index = _region_index(regions)
 
     current = {b.id: b.region for b in blocks}
-    for block in blocks:
-        if block.region not in index:
-            raise ValidationError(
-                f"block {block.id!r} currently assigned to unknown region {block.region!r}"
-            )
+    before = min_slack(current, regions, base_curve, temp)  # rejects no block, unknown regions
     sizes = _scaled([b.size for b in blocks] + [r.capacity for r in index.values()])
     size_of = dict(zip(ids, sizes))
     capacity_of = dict(zip(index, sizes[len(ids):]))
@@ -180,7 +174,6 @@ def remap(
                 f"its capacity {region.capacity}"
             )
 
-    before = min_slack(current, regions, base_curve, temp)
     by_health = sorted(index.values(), key=lambda r: (-r.health_factor, r.id))
     candidate: dict[str, str] = {}
     for block in sorted(blocks, key=lambda b: (-b.size, b.id)):
@@ -196,3 +189,25 @@ def remap(
     if after > before:
         return RemapPlan(assignment=candidate, min_slack_before=before, min_slack_after=after)
     return RemapPlan(assignment=dict(current), min_slack_before=before, min_slack_after=before)
+
+
+def run_section(section: Mapping[str, Any],
+                temp: float) -> tuple[list[SlackCurve], dict[str, float], RemapPlan | None]:
+    """A checked ``aging`` section at ``temp``: its curves by platform, the slack
+    of each, and the remap of ``blocks`` over ``regions`` on the ``ecologic``
+    curve (else the first), which needs both lists non-empty; None without either."""
+    if not section["curves"]:
+        raise ValidationError("aging curves must be non-empty")
+    curves = [SlackCurve(platform, points)
+              for platform, points in sorted(section["curves"].items())]
+    slacks = {curve.platform: slack_at(curve, temp) for curve in curves}
+    regions, blocks = section["regions"], section["blocks"]
+    if regions is None and blocks is None:
+        return curves, slacks, None
+    for key, items in (("regions", regions), ("blocks", blocks)):
+        if not items:
+            raise ValidationError(f"aging {key} must be a non-empty list to remap")
+    regions = [_from_dict(FabricRegion, r, "aging region") for r in regions]
+    blocks = [_from_dict(LogicBlock, b, "aging block") for b in blocks]
+    base_curve = next((c for c in curves if c.platform == "ecologic"), curves[0])
+    return curves, slacks, remap(blocks, regions, base_curve, temp)

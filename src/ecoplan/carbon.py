@@ -10,7 +10,8 @@ where app_dev_carbon is the CPU energy spent on RTL/HLS synthesis and
 bitstream generation, converted through the same grid intensity. The runtime
 energy rate is usually not measured directly; :func:`calibrate_e_use` inverts
 the model against a known deployment-cost anchor cell, after which the sweep
-engine extrapolates linearly across lifetimes and volumes.
+engine extrapolates linearly across lifetimes and volumes. ``ecoplan carbon``
+runs its config section through :func:`run_section`.
 
 Note on units: grid intensity is stored exactly as configured. The bundled
 demo uses 700 (following the reference parameter table) even though a
@@ -23,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .model import (_INT, _REAL, ValidationError, _mean, _require_finite, _require_number,
-                    _require_unique)
+from .model import (_INT, _REAL, PLATFORMS, ValidationError, _check_keys, _fields_of, _mean,
+                    _require_finite, _require_number, _require_text, _require_unique)
 
 HOURS_PER_YEAR = 8760.0
 
@@ -65,6 +66,10 @@ class CarbonParams:
             _require_number(getattr(self, fname), _REAL, 0, True, None, fname)
         for fname in ("rtl_synth_hours", "hls_synth_hours", "config_hours"):
             _require_number(getattr(self, fname), _REAL, 0, False, None, fname)
+        if not math.isfinite(app_dev_carbon(self)):  # inf, or NaN from inf * 0 hours
+            raise ValidationError("app-dev carbon from cpu_power_per_core_w, cpu_cores, "
+                                  "rtl_synth_hours, hls_synth_hours, config_hours and "
+                                  "grid_intensity must be finite")
 
 
 class Scenario(NamedTuple):
@@ -169,8 +174,8 @@ def calibrate_e_use(anchor_cfp: float, params: CarbonParams) -> float:
     reproduces ``anchor_cfp`` exactly.
 
     The rate field of ``params`` is ignored (that is the unknown). The anchor
-    must exceed the fixed app-dev floor, and the runtime term needs a real
-    deployment (n_vol >= 1).
+    must exceed the fixed app-dev floor, the runtime term needs a real
+    deployment (n_vol >= 1), and the rate must be a finite number > 0.
     """
     if params.n_vol < 1:
         raise ValidationError("calibration requires n_vol >= 1")
@@ -179,7 +184,10 @@ def calibrate_e_use(anchor_cfp: float, params: CarbonParams) -> float:
         raise ValidationError(
             f"infeasible anchor: {anchor_cfp} kg does not exceed the app-dev floor {floor} kg"
         )
-    return (anchor_cfp - floor) / (params.n_vol * params.grid_intensity * params.lifetime_hours)
+    runtime = params.n_vol * params.grid_intensity * params.lifetime_hours
+    rate = (anchor_cfp - floor) / runtime if runtime > 0 else 0.0  # 0: runtime underflowed
+    return _require_number(rate, _REAL, 0, True, None, f"e_use_per_hour_kwh from the anchor "
+                           f"{anchor_cfp} kg over n_vol * grid_intensity * lifetime_hours")
 
 
 def calibrated_params(anchor_cfp: float, params: CarbonParams) -> CarbonParams:
@@ -249,3 +257,51 @@ def mean_reduction_at(
             raise ValidationError(f"design {design_id!r} has no cell for {scenario}")
     values = [comparisons[design_id].cells[scenario] for design_id in design_ids]
     return _mean(values, f"mean reduction at {scenario.kind} {scenario.value} overflows")
+
+
+def run_section(section: Mapping[str, Any]) -> tuple[
+        list[CarbonReport], dict[str, CarbonComparison], float | None, Sequence[str]]:
+    """Sweep each calibrated anchor of a checked ``carbon`` section and compare the paired
+    designs. Returns the reports, the comparisons by design, the mean reduction at the scenario
+    over ``reduction_designs`` (default: every compared design; None for none) and those designs."""
+    base = CarbonParams(
+        lifetime_hours=_require_number(section["anchor_lifetime_years"] * HOURS_PER_YEAR, _REAL,
+                                       0, True, None, "carbon anchor_lifetime_years in hours"),
+        e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
+        **_check_keys(section["base"], [f for f in _fields_of(CarbonParams)[0] if f not in (
+            "e_use_per_hour_kwh", "lifetime_hours", "prototype")], "carbon base"),  # not base keys
+    )
+    sweep_raw = section["sweep"]
+    spec = SweepSpec(tuple(sweep_raw["lifetimes_years"]), tuple(sweep_raw["volumes"]),
+                     sweep_raw["fixed_lifetime_for_volume_sweep_years"])
+
+    anchors = section["anchors"]
+    if not anchors:
+        raise ValidationError("carbon anchors must map design -> platform -> kg")
+    reports: list[CarbonReport] = []
+    comparisons: dict[str, CarbonComparison] = {}
+    for design_id in sorted(anchors):
+        _require_text(design_id, "carbon anchors design")
+        by_platform: dict[str, CarbonReport] = {}
+        platform_anchors = _check_keys(anchors[design_id], None, f"carbon anchors {design_id!r}")
+        if not platform_anchors:
+            raise ValidationError(f"carbon anchors {design_id!r} must map platform -> kg")
+        for platform in sorted(platform_anchors):
+            if platform not in PLATFORMS:
+                raise ValidationError(f"carbon anchors: unknown platform {platform!r} "
+                                      f"for design {design_id!r}")
+            what = f"carbon anchors {design_id!r} {platform}"
+            calibrated = calibrated_params(_require_finite(platform_anchors[platform], what), base)
+            by_platform[platform] = sweep(spec, calibrated, design_id, platform)
+        reports.extend(by_platform.values())
+        if "ecologic" in by_platform and "fpga" in by_platform:
+            comparisons[design_id] = compare(by_platform["ecologic"], by_platform["fpga"])
+
+    designs = section["reduction_designs"]
+    designs = sorted(comparisons) if designs is None else designs
+    scenario = Scenario(**section["reduction_scenario"])
+    if scenario not in spec._grid[0]:  # the cell keys, which every report holds
+        raise ValidationError(f"carbon reduction_scenario {scenario.kind} {scenario.value} "
+                              "is not a cell of the sweep grid")
+    mean = mean_reduction_at(comparisons, scenario, designs) if designs else None
+    return reports, comparisons, mean, designs

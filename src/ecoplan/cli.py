@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 An error leaves no temp file in the output directory and no new file, unless
 a rename failed: the files renamed before it stay.
 
-``import ecoplan.cli`` loads only the model and report layers; each
-``cmd_*`` imports the layers it runs, so a subcommand pays only for those.
+Each ``cmd_*`` checks what only the command line adds, then makes one call into
+its layer (the carbon and aging sections run in ``carbon.run_section`` and
+``aging.run_section``) and one into ``report``; it imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
-    _REAL, PLATFORMS, DatasetError, ScoreWeights, ValidationError, _check_keys, _fields_of,
-    _from_dict, _read_json_object, _require_finite, _require_number, _require_text, load_dataset,
-    weights_from_dict,
+    _REAL, PLATFORMS, ScoreWeights, ValidationError, _check_keys, _read_json_object,
+    _require_finite, _require_number, _require_text, load_dataset, weights_from_dict,
 )
 
 CONFIG_SCHEMA_VERSION = "1"
@@ -37,13 +37,12 @@ _REQUIRED = object()  # the default of a key that must be given
 _FINITE = "a finite number"
 _STRINGS = "a list of strings"
 _SECTION = "a config section"
-_NOUNS = {str: "a string", bool: "true or false", dict: "a JSON object", list: "a list",
-          _STRINGS: _STRINGS}
+_NOUNS = {bool: "true or false", dict: "a JSON object", list: "a list", _STRINGS: _STRINGS}
 
 # Every key of the run configuration, as section -> (key, kind, default) rows.
 # A kind is a JSON type, _FINITE, _STRINGS, a tuple of the allowed strings, or
-# _SECTION: the section named by the key's path, checked the same way. A null
-# value stands for an absent key only where the default is None.
+# _SECTION: the section named by the key's path, checked the same way. str and
+# _STRINGS entries are text (model._require_text); null is absent where the default is None.
 _CONFIG: dict[str, tuple[tuple[str, Any, Any], ...]] = {
     "": (
         ("schema_version", (CONFIG_SCHEMA_VERSION,), CONFIG_SCHEMA_VERSION),
@@ -61,7 +60,7 @@ _CONFIG: dict[str, tuple[tuple[str, Any, Any], ...]] = {
     "fabric_budget": (("capacity", _FINITE, None),),
     "compare": (("ours", PLATFORMS, "ecologic"), ("baseline", PLATFORMS, "fpga")),
     "carbon": (
-        ("base", dict, _REQUIRED),  # CarbonParams fields, checked by cmd_carbon
+        ("base", dict, _REQUIRED),  # CarbonParams fields, checked by carbon.run_section
         ("anchor_lifetime_years", _FINITE, 1.0),
         ("anchors", dict, _REQUIRED),
         ("sweep", _SECTION, _REQUIRED),
@@ -84,15 +83,12 @@ _CONFIG: dict[str, tuple[tuple[str, Any, Any], ...]] = {
         ("blocks", list, None),
     ),
 }
-_CARBON_DERIVED = ("e_use_per_hour_kwh", "lifetime_hours", "prototype")  # not config keys
 
 
 def _of_kind(value: Any, kind: Any) -> bool:
-    if isinstance(kind, tuple):
-        return value in kind
     if kind is _STRINGS:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return isinstance(value, kind)
+    return value in kind if isinstance(kind, tuple) else isinstance(value, kind)
 
 
 def _section(raw: Any, name: str, where: str) -> dict[str, Any]:
@@ -112,9 +108,13 @@ def _section(raw: Any, name: str, where: str) -> dict[str, Any]:
             value = _section(value, label, where)
         elif kind is _FINITE:
             value = _require_finite(value, f"{where}: {label}")
+        elif kind is str:
+            value = _require_text(value, f"{where}: {label}")
         elif not _of_kind(value, kind):
             noun = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _NOUNS.get(kind)
             raise ValidationError(f"{where}: {label} must be {noun}, got {value!r}")
+        elif kind is _STRINGS:
+            value = [_require_text(entry, f"{where}: {label} entry") for entry in value]
         section[key] = value
     return section
 
@@ -166,10 +166,10 @@ def cmd_partition(config: RunConfig) -> dict[str, str]:
     from .partition import FabricBudget, plan_exact, plan_greedy, validate_plan
     from .scoring import score_dataset
 
-    dataset = load_dataset(config.dataset_path)
-    cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     if config.fabric_capacity is None:
         raise ValidationError("no fabric capacity given (config fabric_budget or --capacity)")
+    dataset = load_dataset(config.dataset_path)
+    cards = score_dataset(dataset, config.weights, normalize_piracy=config.normalize_piracy)
     budget = FabricBudget(capacity=config.fabric_capacity)
     planner = plan_exact if config.partition_method == "exact" else plan_greedy
     plan = planner(cards, dataset, budget)
@@ -178,65 +178,11 @@ def cmd_partition(config: RunConfig) -> dict[str, str]:
 
 
 def cmd_carbon(config: RunConfig) -> dict[str, str]:
-    from . import carbon as carbon_mod
+    from .carbon import run_section
 
     if config.carbon is None:
         raise ValidationError("config has no 'carbon' section")
-    section = config.carbon
-    base_keys = [f for f in _fields_of(carbon_mod.CarbonParams)[0] if f not in _CARBON_DERIVED]
-    hours = section["anchor_lifetime_years"] * carbon_mod.HOURS_PER_YEAR
-    base = carbon_mod.CarbonParams(
-        lifetime_hours=_require_number(hours, _REAL, 0, True, None,
-                                       "carbon anchor_lifetime_years in hours"),
-        e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
-        **_check_keys(section["base"], base_keys, "carbon base"),
-    )
-    sweep_raw = section["sweep"]
-    spec = carbon_mod.SweepSpec(tuple(sweep_raw["lifetimes_years"]), tuple(sweep_raw["volumes"]),
-                                sweep_raw["fixed_lifetime_for_volume_sweep_years"])
-
-    anchors = section["anchors"]
-    if not anchors:
-        raise ValidationError("carbon anchors must map design -> platform -> kg")
-
-    reports: list[carbon_mod.CarbonReport] = []
-    comparisons: dict[str, carbon_mod.CarbonComparison] = {}
-    for design_id in sorted(anchors):
-        _require_text(design_id, "carbon anchors design")
-        platform_reports: dict[str, carbon_mod.CarbonReport] = {}
-        platform_anchors = _check_keys(anchors[design_id], None, f"carbon anchors {design_id!r}")
-        if not platform_anchors:
-            raise ValidationError(f"carbon anchors {design_id!r} must map platform -> kg")
-        for platform in sorted(platform_anchors):
-            if platform not in PLATFORMS:
-                raise ValidationError(
-                    f"carbon anchors: unknown platform {platform!r} for design {design_id!r}"
-                )
-            anchor_kg = _require_finite(
-                platform_anchors[platform], f"carbon anchors {design_id!r} {platform}"
-            )
-            calibrated = carbon_mod.calibrated_params(anchor_kg, base)
-            platform_reports[platform] = carbon_mod.sweep(spec, calibrated, design_id, platform)
-        reports.extend(platform_reports.values())
-        if "ecologic" in platform_reports and "fpga" in platform_reports:
-            comparisons[design_id] = carbon_mod.compare(
-                platform_reports["ecologic"], platform_reports["fpga"]
-            )
-
-    reduction_designs = section["reduction_designs"]
-    for design_id in reduction_designs or ():
-        _require_text(design_id, "carbon reduction_designs entry")
-    reduction_designs = sorted(comparisons) if reduction_designs is None else reduction_designs
-    scenario = carbon_mod.Scenario(**section["reduction_scenario"])
-    if scenario not in spec._grid[0]:  # the cell keys, which every report holds
-        raise ValidationError(f"carbon reduction_scenario {scenario.kind} {scenario.value} "
-                              "is not a cell of the sweep grid")
-    mean_reduction = None
-    if reduction_designs:  # explicit names are checked even when no design is paired
-        mean_reduction = carbon_mod.mean_reduction_at(comparisons, scenario, reduction_designs)
-    return report_mod.carbon_report_files(
-        reports, comparisons, mean_reduction, reduction_designs, config.formats
-    )
+    return report_mod.carbon_report_files(*run_section(config.carbon), config.formats)
 
 
 def cmd_compare(config: RunConfig) -> dict[str, str]:
@@ -246,31 +192,14 @@ def cmd_compare(config: RunConfig) -> dict[str, str]:
 
 
 def cmd_aging(config: RunConfig) -> dict[str, str]:
-    from . import aging as aging_mod
+    from .aging import run_section
 
     if config.aging is None:
         raise ValidationError("config has no 'aging' section")
-    section = config.aging
-    if not section["curves"]:
-        raise ValidationError("aging curves must be non-empty")
-    curves = [aging_mod.SlackCurve(platform, points)
-              for platform, points in sorted(section["curves"].items())]
-    temp = config.temperature_c
-    if temp is None:
+    if config.temperature_c is None:
         raise ValidationError("no temperature given (config temperature_c or --temperature)")
-    slacks = {curve.platform: aging_mod.slack_at(curve, temp) for curve in curves}
-
-    plan = None
-    regions, blocks = section["regions"], section["blocks"]
-    if regions is not None or blocks is not None:
-        for key, items in (("regions", regions), ("blocks", blocks)):
-            if not items:
-                raise ValidationError(f"aging {key} must be a non-empty list to remap")
-        regions = [_from_dict(aging_mod.FabricRegion, r, "aging region") for r in regions]
-        blocks = [_from_dict(aging_mod.LogicBlock, b, "aging block") for b in blocks]
-        base_curve = next((c for c in curves if c.platform == "ecologic"), curves[0])
-        plan = aging_mod.remap(blocks, regions, base_curve, temp)
-    return report_mod.aging_report_files(curves, slacks, temp, plan, config.formats)
+    curves, slacks, plan = run_section(config.aging, config.temperature_c)
+    return report_mod.aging_report_files(curves, slacks, config.temperature_c, plan, config.formats)
 
 
 # Each flag but --config: the RunConfig field it replaces, its check, and its argparse options.
@@ -337,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         gc.disable()
     try:
         return run(argv)
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError and ValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,6 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import Dataset, ScoreWeights, _build
 
+_MAX = 1.7976931348623157e308  # sys.float_info.max: also rejects an int float() cannot hold
+
 
 @dataclass(frozen=True, slots=True)
 class ScoreCard:
@@ -46,8 +48,8 @@ def adaptability(loc_changed: int, max_loc_changed: int) -> float:
     changed at all (max == 0) the score is defined as 0 for everyone: no
     churn anywhere means no adaptability pressure.
     """
-    if not (loc_changed >= 0 and 0 <= max_loc_changed < math.inf):
-        raise ValueError("loc counts must be >= 0")
+    if not (loc_changed >= 0 and 0 <= max_loc_changed <= _MAX):
+        raise ValueError("loc counts must be finite and >= 0")
     if loc_changed > max_loc_changed:
         raise ValueError(
             f"loc_changed ({loc_changed}) exceeds the dataset maximum ({max_loc_changed})"
@@ -63,22 +65,23 @@ def exposure(io_control_nets: int, internal_nets_and_state: int) -> float:
     The raw quotient is returned unclamped (it can exceed 1 for pathological
     IPs); the piracy-threat combination clamps it at 1.
     """
-    if not 0 < internal_nets_and_state < math.inf:
-        raise ValueError("internal_nets_and_state must be > 0")
-    if not 0 <= io_control_nets < math.inf:
-        raise ValueError("io_control_nets must be >= 0")
+    if not 0 < internal_nets_and_state <= _MAX:
+        raise ValueError("internal_nets_and_state must be finite and > 0")
+    if not 0 <= io_control_nets <= _MAX:
+        raise ValueError("io_control_nets must be finite and >= 0")
     return io_control_nets / internal_nets_and_state
 
 
 def redaction_ratio(mapped: float, total: float) -> float:
     """Fraction of the IP's logic that can be moved into the fabric; the two
     amounts are compared as floats, as :class:`ecoplan.model.IpProfile` does."""
-    mapped, total = float(mapped), float(total)
-    if not 0.0 < total < math.inf:
-        raise ValueError("total logic must be > 0")
-    if not 0 <= mapped <= total:
-        raise ValueError(f"mapped logic must lie in [0, total], got {mapped} of {total}")
-    return mapped / total
+    if not 0.0 < total <= _MAX:
+        raise ValueError("total logic must be finite and > 0")
+    if 0 <= mapped <= _MAX:  # before float(), which overflows past it
+        mapped, total = float(mapped), float(total)
+        if mapped <= total:
+            return mapped / total
+    raise ValueError(f"mapped logic must be finite and lie in [0, total], got {mapped} of {total}")
 
 
 def piracy_threat(
@@ -94,8 +97,8 @@ def piracy_threat(
         raise ValueError(f"confidentiality must lie in [0, 1], got {confidentiality}")
     if not 0.0 <= redaction <= 1.0:
         raise ValueError(f"redaction must lie in [0, 1], got {redaction}")
-    if not 0.0 <= exposure_ratio < math.inf:
-        raise ValueError(f"exposure must be >= 0, got {exposure_ratio}")
+    if not 0.0 <= exposure_ratio <= _MAX:
+        raise ValueError(f"exposure must be finite and >= 0, got {exposure_ratio}")
     threat = weights.mu * confidentiality + weights.nu * min(exposure_ratio, 1.0)
     return min(threat + weights.xi * redaction, 1.0)
 
@@ -107,8 +110,8 @@ def performance_tolerance(f_asic: float, f_efpga: float) -> float:
     hardened one; otherwise the convex combination bound of the composite
     would not hold.
     """
-    if not (0.0 < f_asic < math.inf and 0.0 < f_efpga < math.inf):
-        raise ValueError("frequencies must be > 0")
+    if not (0.0 < f_asic <= _MAX and 0.0 < f_efpga <= _MAX):
+        raise ValueError("frequencies must be finite and > 0")
     return min(f_efpga / f_asic, 1.0)
 
 
@@ -157,8 +160,8 @@ def normalize_composites(values: Sequence[float]) -> list[float]:
     """
     if not values:
         raise ValueError("cannot normalize an empty composite list")
-    if not all(0.0 <= v < math.inf for v in values):
-        raise ValueError("composites must be >= 0")
+    if not all(0.0 <= v <= _MAX for v in values):
+        raise ValueError("composites must be finite and >= 0")
     top = max(values)
     if top == 0:
         return [1.0] * len(values)

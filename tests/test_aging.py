@@ -152,7 +152,8 @@ class TestMinSlack:
 
     def test_unknown_region_rejected(self, simple_curve):
         regions = [FabricRegion("r0", 10.0, 1.0)]
-        with pytest.raises(ValidationError, match="unassigned block"):
+        with pytest.raises(ValidationError,
+                           match="block 'b0' currently assigned to unknown region 'zz'"):
             min_slack({"b0": "zz"}, regions, simple_curve, 25.0)
 
     def test_three_by_three_matches_exhaustive_oracle(self, simple_curve):

@@ -574,8 +574,9 @@ class TestConfigStrictness:
             ("aging", lambda raw: raw["aging"]["blocks"][0].update(size=10**400),
              "block 'crypto' size"),
             ("score", lambda raw: raw["weights"].update(alpha=10**400), "weight 'alpha'"),
-            ("score", lambda raw: raw.update(dataset=5), "dataset must be a string"),
-            ("score", lambda raw: raw.update(output_dir=5), "output_dir must be a string"),
+            ("score", lambda raw: raw.update(dataset=5), "dataset must be a non-empty string"),
+            ("score", lambda raw: raw.update(output_dir=5),
+             "output_dir must be a non-empty string"),
             ("score", lambda raw: raw.update(formats=5), "formats must be a list of strings"),
             ("score", lambda raw: raw.update(formats="json"), "formats must be a list of strings"),
             ("score", lambda raw: raw.update(formats=[5]), "formats must be a list of strings"),
@@ -692,6 +693,30 @@ class TestConfigStrictness:
             ("carbon", mean_reduction_overflow, "mean reduction at lifetime_years 1.0 overflows"),
             ("aging", slack_step_overflow,
              "curve 'ecologic' temperatures must be strictly increasing in finite steps"),
+            ("score", lambda raw: raw.update(dataset="a\u0000b"), "dataset must not contain NUL"),
+            ("score", lambda raw: raw.update(output_dir="o\u0000"),
+             "output_dir must not contain NUL"),
+            ("score", lambda raw: raw.update(output_dir=""),
+             "output_dir must be a non-empty string"),
+            ("score", lambda raw: raw.update(dataset=""), "dataset must be a non-empty string"),
+            ("score", lambda raw: raw.update(formats=[""]),
+             "formats entry must be a non-empty string"),
+            ("score", lambda raw: raw.update(dataset="a\ud800"), "dataset must encode as UTF-8"),
+            ("score", lambda raw: raw["carbon"].update(reduction_designs=["a\u0000"]),
+             "carbon reduction_designs entry must not contain NUL"),
+            ("carbon", lambda raw: raw["carbon"]["base"].update(cpu_power_per_core_w=1e308),
+             "app-dev carbon from cpu_power_per_core_w, cpu_cores, rtl_synth_hours, "
+             "hls_synth_hours, config_hours and grid_intensity must be finite"),
+            ("carbon", lambda raw: raw["carbon"]["base"].update(rtl_synth_hours=1e308),
+             "app-dev carbon from cpu_power_per_core_w"),
+            ("carbon", lambda raw: raw["carbon"]["base"].update(grid_intensity=1e308),
+             "e_use_per_hour_kwh from the anchor 46600.0 kg over n_vol * grid_intensity * "
+             "lifetime_hours must be > 0"),
+            ("carbon", lambda raw: (raw["carbon"]["base"].update(grid_intensity=1e-300),
+                                    raw["carbon"].update(anchor_lifetime_years=1e-300)),
+             "e_use_per_hour_kwh from the anchor 46600.0 kg"),
+            ("partition", lambda raw: (raw.pop("fabric_budget"), raw.update(dataset="none.json")),
+             "no fabric capacity given (config fabric_budget or --capacity)"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -720,7 +745,11 @@ class TestConfigStrictness:
              "anchor-lifetime-overflow", "lifetime-overflow", "fixed-lifetime-overflow",
              "formats-empty", "format-unknown-flag",
              "dataset-schema-version", "dataset-ips-empty", "compare-same-platform",
-             "dataset-without-power", "mean-reduction-sum-overflow", "slack-step-overflow"],
+             "dataset-without-power", "mean-reduction-sum-overflow", "slack-step-overflow",
+             "dataset-nul", "output-dir-nul", "output-dir-empty", "dataset-empty",
+             "format-empty", "dataset-surrogate", "reduction-design-nul-read-by-score",
+             "app-dev-nan", "app-dev-infinite", "calibration-denominator-overflow",
+             "calibration-denominator-underflow", "capacity-missing-before-dataset-load"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

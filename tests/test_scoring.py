@@ -177,14 +177,14 @@ class TestNormalization:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: adaptability(math.nan, 5), "loc counts must be >= 0"),
-    (lambda: adaptability(1, math.nan), "loc counts must be >= 0"),
-    (lambda: exposure(1, math.nan), "internal_nets_and_state must be > 0"),
-    (lambda: exposure(math.nan, 5), "io_control_nets must be >= 0"),
-    (lambda: piracy_threat(0.5, math.nan, 0.5, W), "exposure must be >= 0, got nan"),
-    (lambda: performance_tolerance(math.nan, 1.0), "frequencies must be > 0"),
-    (lambda: performance_tolerance(1.0, math.nan), "frequencies must be > 0"),
-    (lambda: normalize_composites([1.0, math.nan]), "composites must be >= 0"),
+    (lambda: adaptability(math.nan, 5), "loc counts must be finite and >= 0"),
+    (lambda: adaptability(1, math.nan), "loc counts must be finite and >= 0"),
+    (lambda: exposure(1, math.nan), "internal_nets_and_state must be finite and > 0"),
+    (lambda: exposure(math.nan, 5), "io_control_nets must be finite and >= 0"),
+    (lambda: piracy_threat(0.5, math.nan, 0.5, W), "exposure must be finite and >= 0, got nan"),
+    (lambda: performance_tolerance(math.nan, 1.0), "frequencies must be finite and > 0"),
+    (lambda: performance_tolerance(1.0, math.nan), "frequencies must be finite and > 0"),
+    (lambda: normalize_composites([1.0, math.nan]), "composites must be finite and >= 0"),
 ], ids=["adaptability-loc", "adaptability-max", "exposure-internal", "exposure-io",
         "piracy-exposure", "performance-asic", "performance-efpga", "normalize"])
 def test_nan_argument_raises_instead_of_scoring(call, message):
@@ -195,24 +195,46 @@ def test_nan_argument_raises_instead_of_scoring(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: performance_tolerance(math.inf, 1.0), "frequencies must be > 0"),
-    (lambda: performance_tolerance(math.inf, math.inf), "frequencies must be > 0"),
-    (lambda: performance_tolerance(1.0, math.inf), "frequencies must be > 0"),
-    (lambda: adaptability(math.inf, math.inf), "loc counts must be >= 0"),
-    (lambda: exposure(math.inf, math.inf), "internal_nets_and_state must be > 0"),
-    (lambda: exposure(math.inf, 5), "io_control_nets must be >= 0"),
-    (lambda: redaction_ratio(math.inf, math.inf), "total logic must be > 0"),
-    (lambda: piracy_threat(0.5, math.inf, 0.5, W), "exposure must be >= 0, got inf"),
+    (lambda: performance_tolerance(math.inf, 1.0), "frequencies must be finite and > 0"),
+    (lambda: performance_tolerance(math.inf, math.inf), "frequencies must be finite and > 0"),
+    (lambda: performance_tolerance(1.0, math.inf), "frequencies must be finite and > 0"),
+    (lambda: adaptability(math.inf, math.inf), "loc counts must be finite and >= 0"),
+    (lambda: exposure(math.inf, math.inf), "internal_nets_and_state must be finite and > 0"),
+    (lambda: exposure(math.inf, 5), "io_control_nets must be finite and >= 0"),
+    (lambda: redaction_ratio(math.inf, math.inf), "total logic must be finite and > 0"),
+    (lambda: piracy_threat(0.5, math.inf, 0.5, W), "exposure must be finite and >= 0, got inf"),
     (lambda: resource_fit(1.0, -math.inf, math.inf),
      "area range [-inf, inf] must be ordered with a finite span"),
     (lambda: resource_fit(math.inf, math.inf, math.inf),
      "area range [inf, inf] must be ordered with a finite span"),
-    (lambda: normalize_composites([math.inf, 1.0]), "composites must be >= 0"),
+    (lambda: normalize_composites([math.inf, 1.0]), "composites must be finite and >= 0"),
 ], ids=["performance-asic", "performance-both", "performance-efpga", "adaptability",
         "exposure-both", "exposure-io", "redaction", "piracy-exposure", "fit-unbounded",
         "fit-all-infinite", "normalize"])
 def test_infinite_argument_raises_instead_of_scoring(call, message):
     # an infinite argument used to score 0.0, 1.0 or NaN past the guard
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+HUGE = 10**400  # an int beyond the float range: float() of it overflows
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: adaptability(HUGE, HUGE), "loc counts must be finite and >= 0"),
+    (lambda: adaptability(1, HUGE), "loc counts must be finite and >= 0"),
+    (lambda: redaction_ratio(1, HUGE), "total logic must be finite and > 0"),
+    (lambda: redaction_ratio(HUGE, 1), "mapped logic must be finite and lie in [0, total], "
+     f"got {HUGE} of 1"),
+    (lambda: performance_tolerance(HUGE, 1.0), "frequencies must be finite and > 0"),
+    (lambda: performance_tolerance(1.0, HUGE), "frequencies must be finite and > 0"),
+    (lambda: exposure(HUGE, 1), "io_control_nets must be finite and >= 0"),
+    (lambda: exposure(1, HUGE), "internal_nets_and_state must be finite and > 0"),
+], ids=["adaptability-both", "adaptability-max", "redaction-total", "redaction-mapped",
+        "performance-asic", "performance-efpga", "exposure-io", "exposure-internal"])
+def test_int_too_large_for_a_float_raises_value_error(call, message):
+    # each used to raise OverflowError from float() or math.log1p past the guard
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

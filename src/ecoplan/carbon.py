@@ -149,9 +149,13 @@ def deploy_carbon(params: CarbonParams) -> float:
     """Deployment carbon: runtime term plus the app-dev constant.
 
     Exactly linear in n_vol, lifetime_hours, and the energy rate, with
-    app_dev_carbon as the fixed offset.
+    app_dev_carbon as the fixed offset. Raises ValidationError if it is not finite.
     """
-    return _runtime_carbon(params, params.n_vol, params.lifetime_hours) + app_dev_carbon(params)
+    carbon = _runtime_carbon(params, params.n_vol, params.lifetime_hours) + app_dev_carbon(params)
+    if not math.isfinite(carbon):  # inf, or NaN from inf times a rate * hours that underflowed
+        raise ValidationError("deployment carbon from n_vol, grid_intensity, "
+                              "e_use_per_hour_kwh and lifetime_hours must be finite")
+    return carbon
 
 
 def _runtime_carbon(params: CarbonParams, n_vol: int, lifetime_hours: float) -> float:
@@ -163,10 +167,11 @@ def total_cfp(per_app: Sequence[tuple[float, CarbonParams]]) -> float:
     carbon, with each entry's lifetime (hours) substituted into its params."""
     if not per_app:
         raise ValidationError("total_cfp needs at least one application entry")
-    return math.fsum(
-        deploy_carbon(replace(params, lifetime_hours=lifetime_hours))
-        for lifetime_hours, params in per_app
-    )
+    try:
+        return math.fsum(deploy_carbon(replace(params, lifetime_hours=lifetime_hours))
+                         for lifetime_hours, params in per_app)
+    except OverflowError:
+        raise ValidationError("total_cfp: the sum of deployment carbon overflows") from None
 
 
 def calibrate_e_use(anchor_cfp: float, params: CarbonParams) -> float:

@@ -6,23 +6,21 @@ that typos surface as errors instead of silently ignored fields. Records
 are frozen, but a map field is a plain dict: mutating one skips
 validation. Every number must also convert to a finite float.
 
-The IP number rules are one table, ``_IP_NUMBERS``. ``IpProfile.__post_init__``
-walks it to word each error; ``load_dataset`` first applies each row to a whole
-column and, when every column passes, builds the profiles a field at a time
-across all of them (``_build``), without the per-IP walk. On any failure or
-doubt it takes the per-IP path, so the first error message is the same either
-way. Record keys come from the dataclasses.
+Every IP rule is stated once, in ``_check_ips``, which checks one column per
+``IpProfile`` field. ``IpProfile`` runs it on one-IP columns; ``load_dataset``
+runs it on the file's columns, then builds the profiles a field at a time
+(``_build``). Record keys come from the dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache, cached_property
-from itertools import chain, repeat
-from operator import le
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Any, Collection, Hashable, Mapping, Sequence
 
@@ -209,28 +207,7 @@ class IpProfile:
     area_mm2: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
-        ip_id = _require_text(self.id, "IP id")
-        _require_text(self.name, _FIELD % (ip_id, "name"))
-        for fname, types, low, strict, high in _IP_NUMBERS:
-            value = getattr(self, fname)
-            if value is not None or _IP_DEFAULTS[fname] is not None:
-                value = _require_number(value, types, low, strict, high, _FIELD % (ip_id, fname))
-            if fname == "logic_mapped_to_efpga" and value > float(self.total_logic):
-                self._fail(fname, "must not exceed total_logic")
-
-        for fname in _IP_MAPS:
-            metrics = getattr(self, fname)
-            if metrics is None:
-                continue
-            if not isinstance(metrics, Mapping):
-                self._fail(fname, "must be a platform -> value map")
-            for platform, value in metrics.items():
-                if platform not in PLATFORMS:
-                    self._fail(fname, f"unknown platform {platform!r} (expected one of {PLATFORMS})")
-                _require_number(value, _REAL, 0, False, None, _ENTRY % (ip_id, fname, platform))
-
-    def _fail(self, fname: str, why: str) -> None:
-        raise ValidationError(f"IP {self.id!r} field {fname!r} {why}")
+        _check_ips({name: [getattr(self, name)] for name in _IP_DEFAULTS})
 
 
 @dataclass(frozen=True)
@@ -344,74 +321,69 @@ def _from_dict(cls: type, raw: Any, where: str) -> Any:
     return cls(**_check_keys(raw, allowed, where, required))
 
 
-def _ip_from_dict(raw: Any, index: int) -> IpProfile:
-    label = raw.get("id", f"#{index}") if isinstance(raw, dict) else f"#{index}"
-    return _from_dict(IpProfile, raw, f"IP {label!r}")
-
-
 def _column_ok(
     values: Sequence[Any], types: tuple[type, ...], low: int, strict: bool, high: int | None
 ) -> bool:
     """:func:`_require_number` for every value, comparing the values as they
     are rather than building floats: for integer bounds, an int or float lies
     within them exactly when its float does. A bool never passes."""
-    if not set(map(type, values)).issubset(types):
-        return False
-    if not all(map(math.isfinite, values)):  # an int too large for a float raises
-        return False
-    return not values or (min(values) > low if strict else min(values) >= low) and (
-        high is None or max(values) <= high
-    )
-
-
-def _ips_by_column(entries: list[Any]) -> tuple[IpProfile, ...] | None:
-    """The profiles of ``entries`` if every column passes the rules of
-    ``_IP_NUMBERS`` and ``IpProfile.__post_init__``, built without rerunning
-    them per IP.
-
-    None on any failure or doubt, an exception inside the check included:
-    the caller then takes the per-IP path, the only source of error messages.
-    """
     try:
-        required = set(_fields_of(IpProfile)[1])
-        # key sets are checked once per distinct key order, not once per IP
-        if set(map(type, entries)) != {dict} or not all(
-            required <= set(keys) <= _IP_DEFAULTS.keys()
-            for keys in set(map(tuple, entries))
-        ):
-            return None
-        columns = {name: list(map(dict.get, entries, repeat(name), repeat(default)))
-                   for name, default in _IP_DEFAULTS.items()}
-        for name in ("id", "name"):
-            if set(map(type, columns[name])) != {str} or not all(columns[name]):
-                return None
-            _require_text("".join(columns[name]), name)
-        for name, types, low, strict, high in _IP_NUMBERS:
-            values = columns[name]
-            if _IP_DEFAULTS[name] is None:
-                values = [v for v in values if v is not None]
-            if not _column_ok(values, types, low, strict, high):
-                return None
-        mapped = map(float, columns["logic_mapped_to_efpga"])
-        if not all(map(le, mapped, map(float, columns["total_logic"]))):  # as IpProfile does
-            return None
-        maps = [m for name in _IP_MAPS for m in columns[name] if m is not None]
-        if set(map(type, maps)) - {dict} or not all(
-            set(keys) <= set(PLATFORMS) for keys in set(map(tuple, maps))
-        ):
-            return None
-        if not _column_ok(list(chain.from_iterable(map(dict.values, maps))), _REAL, 0, False, None):
-            return None
-    except Exception:  # noqa: BLE001 - any surprise means: take the per-IP path
-        return None
-    return tuple(_build(IpProfile, list(columns.values())))
+        return set(map(type, values)).issubset(types) and all(map(math.isfinite, values)) and (
+            not values or (min(values) > low if strict else min(values) >= low)
+            and (high is None or max(values) <= high))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _texts_ok(values: Sequence[Any]) -> bool:
+    """:func:`_require_text` for every value, tested on their join: UTF-8 fails a surrogate."""
+    return set(map(type, values)) <= {str} and all(values) and not re.search(
+        r"[\0\ud800-\udfff]", "".join(values))
+
+
+def _check_ips(columns: Mapping[str, Sequence[Any]]) -> None:
+    """Apply every IP rule to ``columns``, one per ``IpProfile`` field: id, name,
+    the ``_IP_NUMBERS`` rows (``logic_mapped_to_efpga <= total_logic`` right after
+    its row), the maps. A column that passes its whole-column test is not walked;
+    in one that fails, its first bad entry words the error. For one IP, that is
+    its first broken rule."""
+    ids, totals = columns["id"], columns["total_logic"]
+    for name in ("id", "name"):
+        if not _texts_ok(columns[name]):
+            for ip_id, value in zip(ids, columns[name]):
+                _require_text(value, "IP id" if name == "id" else _FIELD % (ip_id, name))
+    for name, types, low, strict, high in _IP_NUMBERS:
+        values = columns[name]
+        if _IP_DEFAULTS[name] is None:  # null: not given
+            values = [v for v in values if v is not None]
+        if not _column_ok(values, types, low, strict, high):
+            for ip_id, value in zip(ids, columns[name]):
+                if value is not None or _IP_DEFAULTS[name] is not None:
+                    _require_number(value, types, low, strict, high, _FIELD % (ip_id, name))
+        if name == "logic_mapped_to_efpga":  # the first IP over its total, compared as floats
+            for ip_id in compress(ids, map(float.__gt__, map(float, values), map(float, totals))):
+                raise ValidationError(f"{_FIELD % (ip_id, name)} must not exceed total_logic")
+    maps = [m for name in _IP_MAPS for m in columns[name] if m is not None]
+    if set(map(type, maps)) <= {dict} and set(chain.from_iterable(maps)) <= set(PLATFORMS) and (
+            _column_ok([*chain.from_iterable(map(dict.values, maps))], _REAL, 0, False, None)):
+        return
+    for name in _IP_MAPS:
+        for ip_id, metrics in zip(ids, columns[name]):
+            if metrics is not None and not isinstance(metrics, Mapping):
+                raise ValidationError(f"{_FIELD % (ip_id, name)} must be a platform -> value map")
+            for platform, value in (metrics or {}).items():
+                if platform not in PLATFORMS:
+                    raise ValidationError(f"{_FIELD % (ip_id, name)} unknown platform "
+                                          f"{platform!r} (expected one of {PLATFORMS})")
+                _require_number(value, _REAL, 0, False, None, _ENTRY % (ip_id, name, platform))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset file.
 
-    The ``ips`` list takes the column check of the module docstring first
-    and the per-IP path only when that check fails or is in doubt.
+    Every IP rule runs once over the whole ``ips`` list (``_check_ips``). When
+    one fails, the entries are walked again one IP at a time, so the error names
+    the first bad IP in file order and its first broken rule, keys first.
 
     Raises ParseError for malformed JSON, SchemaVersionError for an unknown
     schema_version, ValidationError for any invariant violation (the message
@@ -426,9 +398,20 @@ def load_dataset(path: str | Path) -> Dataset:
     entries = raw["ips"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{path}: 'ips' must be a non-empty list")
-    ips = _ips_by_column(entries)
-    if ips is None:
-        ips = tuple(_ip_from_dict(entry, i) for i, entry in enumerate(entries))
+    try:
+        if set(map(type, entries)) != {dict} or not all(  # once per distinct key order
+                set(_fields_of(IpProfile)[1]) <= set(keys) <= _IP_DEFAULTS.keys()
+                for keys in set(map(tuple, entries))):
+            raise ValidationError("an IP has unknown or missing keys")
+        columns = {name: list(map(dict.get, entries, repeat(name), repeat(default)))
+                   for name, default in _IP_DEFAULTS.items()}
+        _check_ips(columns)
+    except ValidationError:
+        for index, entry in enumerate(entries):  # the first bad IP words the error
+            label = entry.get("id", f"#{index}") if isinstance(entry, dict) else f"#{index}"
+            _from_dict(IpProfile, entry, f"IP {label!r}")
+        raise
+    ips = tuple(_build(IpProfile, list(columns.values())))
     return Dataset(ips=ips, area_unit=raw["area_unit"], schema_version=version)
 
 

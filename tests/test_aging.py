@@ -24,6 +24,23 @@ def simple_curve():
     return SlackCurve(platform="ecologic", points=((25.0, 10.0), (100.0, 6.0), (140.0, 4.0)))
 
 
+CURVE = SlackCurve(platform="ecologic", points=((25.0, 10.0), (100.0, 6.0)))
+GUARDS = [
+    # (call, exception type, exact message)
+    pytest.param(lambda: min_slack({"b0": "r0"}, [], CURVE, 25.0), ValidationError,
+                 "need at least one region", id="no-regions"),
+    pytest.param(lambda: min_slack({}, [FabricRegion("r0", 10.0, 1.0)], CURVE, 25.0),
+                 ValidationError, "assignment must map at least one block", id="no-blocks"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestSlackCurve:
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):

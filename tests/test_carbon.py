@@ -8,7 +8,9 @@ import pytest
 import refdata
 from ecoplan.carbon import (
     HOURS_PER_YEAR,
+    CarbonComparison,
     CarbonParams,
+    CarbonReport,
     Scenario,
     SweepSpec,
     app_dev_carbon,
@@ -94,6 +96,40 @@ class TestDeployCarbon:
         assert deploy_carbon(params) == pytest.approx(4.66e4, rel=1e-9)
         two_year = replace(params, lifetime_hours=2 * params.lifetime_hours)
         assert deploy_carbon(two_year) == pytest.approx(9.32e4, rel=1e-9)
+
+
+NOT_FINITE = ("deployment carbon from n_vol, grid_intensity, e_use_per_hour_kwh and "
+              "lifetime_hours must be finite")
+
+
+class TestNonFiniteCarbon:
+    """Accepted params whose deployment carbon is not a finite float raise, not return it."""
+
+    def test_nan_from_an_infinite_volume_term_times_underflowed_hours(self):
+        params = CarbonParams(e_use_per_hour_kwh=1e-300, n_vol=10**6, grid_intensity=1e308,
+                              lifetime_hours=1e-300)
+        with pytest.raises(ValidationError) as info:
+            deploy_carbon(params)
+        assert str(info.value) == NOT_FINITE
+
+    def test_infinite_runtime_term(self):
+        with pytest.raises(ValidationError) as info:
+            deploy_carbon(CarbonParams(e_use_per_hour_kwh=1e300, lifetime_hours=1e10))
+        assert str(info.value) == NOT_FINITE
+
+    def test_total_of_infinite_entries(self):
+        entries = [(100.0, CarbonParams(e_use_per_hour_kwh=1e300))] * 2
+        with pytest.raises(ValidationError) as info:
+            total_cfp(entries)
+        assert str(info.value) == NOT_FINITE
+
+    def test_total_whose_sum_overflows(self):
+        # each entry is finite (about 1e308 kg); their sum is not
+        params = CarbonParams(e_use_per_hour_kwh=1e308, n_vol=1, grid_intensity=1.0)
+        assert math.isfinite(deploy_carbon(replace(params, lifetime_hours=1.0)))
+        with pytest.raises(ValidationError) as info:
+            total_cfp([(1.0, params)] * 2)
+        assert str(info.value) == "total_cfp: the sum of deployment carbon overflows"
 
 
 class TestTotalCfp:
@@ -251,6 +287,36 @@ class TestCompare:
         assert mean == pytest.approx(expected, abs=1e-12)
         # d5 runs hotter on the hybrid platform; the inversion is preserved
         assert comparisons["d5"].cells[Scenario("lifetime_years", 1.0)] < 0
+
+
+ONE_YEAR = Scenario("lifetime_years", 1.0)
+COMPARISONS = {"d1": CarbonComparison("d1", {ONE_YEAR: 0.5}, 0.5)}
+GUARDS = [
+    # (call, exception type, exact message)
+    pytest.param(lambda: calibrate_e_use(1.0, CarbonParams(e_use_per_hour_kwh=1.0, n_vol=0,
+                                                            prototype=True)),
+                 ValidationError, "calibration requires n_vol >= 1", id="calibrate-no-volume"),
+    pytest.param(lambda: compare(CarbonReport("d1", "ecologic", {ONE_YEAR: 1.0}),
+                                 CarbonReport("d1", "fpga", {ONE_YEAR: 0.0})),
+                 ValidationError,
+                 "baseline cell Scenario(kind='lifetime_years', value=1.0) must be > 0, got 0.0",
+                 id="compare-zero-baseline"),
+    pytest.param(lambda: mean_reduction_at(COMPARISONS, ONE_YEAR, []), ValidationError,
+                 "design subset for the mean reduction must be non-empty", id="mean-no-designs"),
+    pytest.param(lambda: mean_reduction_at(COMPARISONS, ONE_YEAR, ["d2"]), ValidationError,
+                 "no comparison available for design 'd2'", id="mean-unknown-design"),
+    pytest.param(lambda: mean_reduction_at(COMPARISONS, Scenario("volume", 1.0), ["d1"]),
+                 ValidationError,
+                 "design 'd1' has no cell for Scenario(kind='volume', value=1.0)",
+                 id="mean-missing-cell"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestParamValidation:

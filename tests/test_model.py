@@ -50,6 +50,20 @@ def make_ip(**overrides) -> IpProfile:
     return IpProfile(**ip_entry_dict(**overrides))
 
 
+def write_dataset(path, entries):
+    path.write_text(json.dumps({"schema_version": "1", "area_unit": "um2", "ips": entries}),
+                    encoding="utf-8")
+    return path
+
+
+def load_counting_post_init(path):
+    """load_dataset(path) and how many times it ran IpProfile.__post_init__."""
+    with mock.patch.object(IpProfile, "__post_init__", autospec=True,
+                           side_effect=IpProfile.__post_init__) as post_init:
+        dataset = load_dataset(path)
+    return dataset, post_init.call_count
+
+
 class TestIpProfile:
     def test_valid_profile_constructs(self):
         ip = make_ip()
@@ -194,10 +208,7 @@ def build_ip(request, tmp_path):
         return lambda entry: IpProfile(**entry)
 
     def through_file(entry):
-        path = tmp_path / "one.json"
-        path.write_text(json.dumps({"schema_version": "1", "area_unit": "um2", "ips": [entry]}),
-                        encoding="utf-8")
-        return load_dataset(path).ips[0]
+        return load_dataset(write_dataset(tmp_path / "one.json", [entry])).ips[0]
 
     return through_file
 
@@ -216,11 +227,12 @@ class TestIpMessages:
             build_ip(ip_entry_dict(**overrides))
         assert str(info.value) == message
 
-    def test_mapped_is_compared_with_total_as_floats(self, build_ip):
+    def test_mapped_is_compared_with_total_as_floats(self, build_ip, tmp_path):
         # 2**53 + 3 rounds to 2.0**53 + 4, so the two are equal as floats
         entry = ip_entry_dict(total_logic=2**53 + 3, logic_mapped_to_efpga=2.0**53 + 4)
         assert build_ip(entry).logic_mapped_to_efpga == 2.0**53 + 4
-        assert model._ips_by_column([entry]) is not None  # no fallback to the per-IP checks
+        # the column check passes it too: the file loads without a per-IP walk
+        assert load_counting_post_init(write_dataset(tmp_path / "f.json", [entry]))[1] == 0
 
     @pytest.mark.parametrize("command", ["score", "partition"])
     def test_mapped_equal_to_total_as_floats_scores(self, tmp_path, demo_config, command):
@@ -337,6 +349,29 @@ class TestDatasetLoading:
         with pytest.raises(ValidationError, match="duplicate"):
             Dataset(ips=dup, area_unit="gate_eq")
 
+    def test_any_sequence_of_ips_becomes_a_tuple(self, six_ip_dataset):
+        dataset = Dataset(ips=list(six_ip_dataset.ips), area_unit="gate_eq")
+        assert dataset.ips == six_ip_dataset.ips and isinstance(dataset.ips, tuple)
+
+
+GUARDS = [
+    # (call, exception type, exact message)
+    pytest.param(lambda: Dataset(ips=(make_ip(),), area_unit="um2", schema_version="2"),
+                 SchemaVersionError, "unknown schema_version '2' (supported: '1')",
+                 id="dataset-schema-version"),
+    pytest.param(lambda: Dataset(ips=[], area_unit="um2"), ValidationError,
+                 "dataset must contain at least one IP", id="dataset-empty-list"),
+    pytest.param(lambda: fixture_path("nope.json"), FileNotFoundError,
+                 "no bundled fixture named 'nope.json'", id="fixture-unknown"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
 
 # --- column-wise dataset check vs the per-IP path -----------------------------
 
@@ -448,9 +483,15 @@ def outcome(load, path):
 
 
 def load_per_ip(path):
-    """load_dataset with the column check switched off: the reference."""
-    with mock.patch.object(model, "_ips_by_column", return_value=None):
-        return load_dataset(path)
+    """The reference loader: each IP on its own, in file order, its keys checked
+    and then ``IpProfile(**entry)``; the drawn files differ only in their IPs."""
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    allowed, required = model._fields_of(IpProfile)
+    ips = []
+    for index, entry in enumerate(raw["ips"]):
+        label = entry.get("id", f"#{index}") if isinstance(entry, dict) else f"#{index}"
+        ips.append(IpProfile(**model._check_keys(entry, allowed, f"IP {label!r}", required)))
+    return Dataset(ips=ips, area_unit=raw["area_unit"], schema_version=raw["schema_version"])
 
 
 @pytest.fixture(scope="module")
@@ -466,10 +507,7 @@ class TestColumnCheck:
         n = data.draw(st.integers(1, 6))
         entries = [data.draw(ip_entry(i)) for i in range(n)]
         mutate(data.draw, entries, kind)
-        dataset_file.write_text(
-            json.dumps({"schema_version": "1", "area_unit": "um2", "ips": entries}),
-            encoding="utf-8",
-        )
+        write_dataset(dataset_file, entries)
         expected = outcome(load_per_ip, dataset_file)
         actual = outcome(load_dataset, dataset_file)
         if isinstance(expected, Exception):
@@ -478,16 +516,15 @@ class TestColumnCheck:
         assert actual == expected, kind
         # repr tells 1 from 1.0 in every field and map value
         assert repr(actual) == repr(expected), kind
-        if kind == "none":  # valid input takes the column path
-            assert model._ips_by_column(json.loads(dataset_file.read_text())["ips"]) is not None
+        # valid input is built from the checked columns, with no per-IP walk
+        assert load_counting_post_init(dataset_file)[1] == 0, kind
 
     def test_fixture_takes_the_column_path(self, six_ip_dataset):
-        raw = dataset_to_dict(six_ip_dataset)
-        ips = model._ips_by_column(raw["ips"])
-        assert ips is not None and ips == six_ip_dataset.ips
+        dataset, post_init_calls = load_counting_post_init(fixture_path("six_ip_soc.json"))
+        assert post_init_calls == 0 and dataset == six_ip_dataset
 
     def test_profiles_from_the_column_path_stay_frozen_and_checked(self, six_ip_dataset):
-        ip = model._ips_by_column(dataset_to_dict(six_ip_dataset)["ips"])[0]
+        ip = six_ip_dataset.ips[0]  # loaded from the checked columns
         with pytest.raises(FrozenInstanceError):
             ip.area = 1.0
         with pytest.raises(ValidationError, match="'d1' field 'area' must be > 0"):
@@ -524,8 +561,47 @@ class TestColumnCheck:
         card = score_dataset(six_ip_dataset, default_weights)[0]
         assert not hasattr(six_ip_dataset.ips[0], "__dict__") and not hasattr(card, "__dict__")
 
-    def test_exception_inside_the_check_falls_back(self, six_ip_dataset, tmp_path):
-        path = tmp_path / "d.json"
-        save_dataset(six_ip_dataset, path)
-        with mock.patch.object(model, "_column_ok", side_effect=RuntimeError("boom")):
-            assert load_dataset(path) == six_ip_dataset
+
+# The first bad IP in file order words the error, with its first broken rule,
+# even where a later IP breaks a rule that the column check applies earlier.
+UNKNOWN_GPU = "unknown platform 'gpu' (expected one of ('asic', 'fpga', 'ecologic'))"
+CROSS_IP = [
+    # (overrides of the first IP, overrides of the third, message)
+    pytest.param({"loc_changed": -1}, {"power_mw": {"gpu": 1.0}},
+                 "IP 'ip1' field 'loc_changed' must be >= 0", id="number-before-map"),
+    pytest.param({"loc_changed": -1}, {"bogus": 1},
+                 "IP 'ip1' field 'loc_changed' must be >= 0", id="number-before-keys"),
+    pytest.param({"power_mw": {"gpu": 1.0}}, {"loc_changed": -1},
+                 f"IP 'ip1' field 'power_mw' {UNKNOWN_GPU}", id="map-before-number"),
+    pytest.param({"slack_ns": {"asic": -1}}, {"id": 5},
+                 "IP 'ip1' field 'slack_ns[asic]' must be >= 0", id="map-before-id"),
+    pytest.param({"name": ""}, {"id": ""},
+                 "IP 'ip1' field 'name' must be a non-empty string, got ''", id="name-before-id"),
+]
+
+
+class TestCrossIpOrder:
+    @pytest.fixture
+    def two_bad_ips(self, tmp_path):
+        def write(first, third):
+            entries = [ip_entry_dict(id=f"ip{i}") for i in (1, 2, 3)]
+            entries[0].update(first)
+            entries[2].update(third)
+            return write_dataset(tmp_path / "two_bad.json", entries)
+        return write
+
+    @pytest.mark.parametrize("first, third, message", CROSS_IP)
+    def test_load_names_the_first_bad_ip(self, two_bad_ips, first, third, message):
+        with pytest.raises(ValidationError) as info:
+            load_dataset(two_bad_ips(first, third))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("first, third, message", CROSS_IP)
+    def test_score_names_the_first_bad_ip(self, two_bad_ips, tmp_path, capsys, demo_config,
+                                          first, third, message):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**demo_config, "dataset": str(two_bad_ips(first, third))}),
+                          encoding="utf-8")
+        assert main(["score", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()

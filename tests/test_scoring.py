@@ -27,6 +27,23 @@ from ecoplan.scoring import (
 
 W = ScoreWeights.default()
 
+GUARDS = [
+    # (call, exception type, exact message)
+    pytest.param(lambda: piracy_threat(1.5, 0.0, 0.0, W), ValueError,
+                 "confidentiality must lie in [0, 1], got 1.5", id="confidentiality-over-one"),
+    pytest.param(lambda: piracy_threat(0.5, 0.0, -0.5, W), ValueError,
+                 "redaction must lie in [0, 1], got -0.5", id="negative-redaction"),
+    pytest.param(lambda: score_from_subscores([], W), ValueError,
+                 "need at least one sub-score row", id="no-rows"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
 
 class TestAdaptability:
     def test_max_churn_scores_one(self):

@@ -212,7 +212,7 @@ _FLAGS: dict[str, tuple[str, Callable[[Any], Any], dict[str, Any]]] = {
     "--capacity": ("fabric_capacity",  # FabricBudget checks it too, but names no flag
                    lambda value: _require_number(value, _REAL, 0, True, None, "--capacity"),
                    {"type": float, "help": "fabric capacity override"}),
-    "--temperature": ("temperature_c", float,
+    "--temperature": ("temperature_c", lambda value: _require_finite(value, "--temperature"),
                       {"type": float, "help": "evaluation temperature (degC)"}),
 }
 

@@ -26,19 +26,18 @@ is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
 interpreter's ``csv`` module.
 
-``_encode`` is the only JSON writer. For a payload keyed by strings, its
-output is byte for byte what ``json.dumps(payload, indent=2, sort_keys=True)``
-gives once every float is rounded to report precision; a non-string key
-raises ``TypeError``. It does not call the stdlib: any ``indent`` sends
-CPython's ``json`` through its pure-Python encoder, which for the large
-reports meant a dict per row, a rounded copy of the whole payload and most of
-the render time. The tests compare ``_encode`` with that stdlib dump.
+A JSON report is ``json.dumps(report, indent=2, sort_keys=True)`` of its
+content with every float rounded to report precision; a non-string key raises
+``TypeError``. The stdlib writes every value but a table, whose array
+``_records`` spells: any ``indent`` sends the stdlib through its pure-Python
+encoder, which for the large tables was most of the render time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -79,7 +78,7 @@ class _Table:
     """Headers, columns, and the kind and ``fmt`` text of every column, made when built.
 
     ``table[start:stop]`` is the table over slices of the same lists, with the
-    same rows. In a JSON payload a table stands for its list of records.
+    same rows. As a value of a JSON report, a table stands for its list of records.
     """
 
     def __init__(self, headers: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
@@ -113,9 +112,7 @@ def _text_column(values: Sequence[Any], kind: type | None) -> Sequence[str]:
     return list(map(fmt, values))
 
 
-def _json_column(
-    values: Sequence[Any], kind: type | None, text: Sequence[str], depth: int
-) -> Sequence[str]:
+def _json_column(values: Sequence[Any], kind: type | None, text: Sequence[str]) -> Sequence[str]:
     """The JSON literal of every value of a column of ``kind`` whose ``fmt`` text is ``text``.
 
     A float's literal is the repr of its text read back, which is the repr of
@@ -137,11 +134,11 @@ def _json_column(
         return list(map(literals.__getitem__, values))
     if kind is int:
         return text
-    return [_encode(value, depth) for value in values]
+    return [json.dumps(_rounded(value)) for value in values]
 
 
-def _records(table: _Table, depth: int) -> str:
-    """``table`` as a JSON array ``depth`` levels deep of one object per row.
+def _records(table: _Table) -> str:
+    """``table`` as a JSON array, a value of the report object, of one object per row.
 
     The array is one join of a flat list that holds, row after row, the cells
     in key order and before each the text that leads up to it: brackets,
@@ -149,8 +146,7 @@ def _records(table: _Table, depth: int) -> str:
     """
     if not table.size:
         return "[]"
-    outer = "\n" + "  " * (depth + 1)
-    inner = outer + "  "
+    outer, inner = "\n    ", "\n      "
     fields = sorted(dict(zip(table.headers, count())).items())  # the last of equal headers
     keys = [encode_basestring_ascii(header) + ": " for header, _ in fields]
     leads = ["," + inner + key for key in keys]
@@ -159,51 +155,38 @@ def _records(table: _Table, depth: int) -> str:
     flat: list[str] = [""] * (width * size)
     for j, (lead, (_, i)) in enumerate(zip(leads, fields)):
         flat[2 * j::width] = [lead] * size
-        flat[2 * j + 1::width] = _json_column(table.columns[i], table.kinds[i], table.text[i],
-                                              depth + 2)
+        flat[2 * j + 1::width] = _json_column(table.columns[i], table.kinds[i], table.text[i])
     flat[0] = "[" + outer + "{" + inner + keys[0]
-    return "".join(flat) + outer + "}" + outer[:-2] + "]"
+    return "".join(flat) + outer + "}\n  ]"
 
 
-def _encode(value: Any, depth: int) -> str:
-    """``value`` spelled as ``json.dumps(..., indent=2, sort_keys=True)`` spells
-    it ``depth`` levels deep, with every float value rounded by ``round4``; a
-    dict key or table header that is not a string raises ``TypeError``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _rounded(value: Any) -> Any:
+    """``value`` with every float rounded by ``round4`` and every tuple a list;
+    a dict key that is not a string raises ``TypeError``."""
     if isinstance(value, float):
-        text = float.__repr__(round4(value))
-        return _NON_FINITE.get(text, text)
-    pad = "\n" + "  " * (depth + 1)
+        return round4(value)
+    if isinstance(value, (list, tuple)):
+        return list(map(_rounded, value))
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}"
-                 for k, v in sorted(value.items()))
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(value, _Table):
-        return _records(value, depth)
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return "[]"
-    if _kind(value) is str:
-        items = map(encode_basestring_ascii, value)
-    else:
-        items = (_encode(item, depth + 1) for item in value)
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return {key: _rounded(item) for key, item in value.items()}
+    return value
 
 
-def render_json(payload: Any) -> str:
-    return _encode(payload, 0) + "\n"
+def render_json(payload: Mapping[str, Any]) -> str:
+    """The report object ``payload`` as ``json.dumps(..., indent=2, sort_keys=True)``
+    spells it once every float is rounded by ``round4``; a table stands for its records."""
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, _Table):
+            text = _records(value)
+        else:  # JSON text holds no newline but its layout's
+            text = json.dumps(_rounded(value), indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _csv(table: _Table) -> str:

@@ -189,19 +189,23 @@ class TestMinSlack:
 
 class TestRemap:
     def test_identity_when_no_degradation(self, simple_curve):
-        regions = [FabricRegion("r0", 10.0, 1.0), FabricRegion("r1", 10.0, 1.0)]
-        blocks = [LogicBlock("b0", 4.0, "r0"), LogicBlock("b1", 4.0, "r1")]
+        # "full" holds blocks that fill it exactly, which is not overloaded
+        regions = [FabricRegion("r0", 10.0, 1.0), FabricRegion("r1", 10.0, 1.0),
+                   FabricRegion("full", 5.0, 1.0)]
+        blocks = [LogicBlock("b0", 4.0, "r0"), LogicBlock("b1", 4.0, "r1"),
+                  LogicBlock("b2", 2.0, "full"), LogicBlock("b3", 3.0, "full")]
         plan = remap(blocks, regions, simple_curve, 25.0)
         assert plan.min_slack_after == plan.min_slack_before
-        assert plan.assignment == {"b0": "r0", "b1": "r1"}  # no move without a gain
+        # no move without a gain
+        assert plan.assignment == {"b0": "r0", "b1": "r1", "b2": "full", "b3": "full"}
 
     def test_single_block_moves_to_healthy_region(self, simple_curve):
-        regions = [FabricRegion("bad", 10.0, 0.4), FabricRegion("good", 10.0, 1.0)]
-        blocks = [LogicBlock("b0", 4.0, "bad")]
-        plan = remap(blocks, regions, simple_curve, 25.0)
-        assert plan.assignment == {"b0": "good"}
-        assert plan.min_slack_after == pytest.approx(10.0)
-        assert plan.min_slack_before == pytest.approx(4.0)
+        regions = [FabricRegion("bad", 20.0, 0.4), FabricRegion("good", 10.0, 1.0)]
+        for size in (4.0, 10.0):  # a block of 10 fills the good region exactly
+            plan = remap([LogicBlock("b0", size, "bad")], regions, simple_curve, 25.0)
+            assert plan.assignment == {"b0": "good"}
+            assert plan.min_slack_after == pytest.approx(10.0)
+            assert plan.min_slack_before == pytest.approx(4.0)
 
     def test_never_worsens(self, simple_curve):
         import random

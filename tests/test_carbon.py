@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -182,8 +183,11 @@ class TestCalibration:
 
     def test_anchor_below_app_dev_floor_rejected(self):
         floor = app_dev_carbon(TABLE_PARAMS)
-        with pytest.raises(ValidationError, match="infeasible anchor"):
-            calibrate_e_use(floor * 0.5, TABLE_PARAMS)
+        assert floor > 0  # synthesis hours > 0
+        for anchor in (floor * 0.5, floor):  # an anchor at the floor leaves no runtime term
+            message = f"infeasible anchor: {anchor} kg does not exceed the app-dev floor {floor} kg"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                calibrate_e_use(anchor, TABLE_PARAMS)
 
 
 class TestSweep:

@@ -717,6 +717,8 @@ class TestConfigStrictness:
              "e_use_per_hour_kwh from the anchor 46600.0 kg"),
             ("partition", lambda raw: (raw.pop("fabric_budget"), raw.update(dataset="none.json")),
              "no fabric capacity given (config fabric_budget or --capacity)"),
+            ("aging --temperature nan", None, "--temperature must be finite, got nan"),
+            ("aging --temperature inf", None, "--temperature must be finite, got inf"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -749,7 +751,8 @@ class TestConfigStrictness:
              "dataset-nul", "output-dir-nul", "output-dir-empty", "dataset-empty",
              "format-empty", "dataset-surrogate", "reduction-design-nul-read-by-score",
              "app-dev-nan", "app-dev-infinite", "calibration-denominator-overflow",
-             "calibration-denominator-underflow", "capacity-missing-before-dataset-load"],
+             "calibration-denominator-underflow", "capacity-missing-before-dataset-load",
+             "temperature-flag-nan", "temperature-flag-inf"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

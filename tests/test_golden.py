@@ -2,13 +2,16 @@
 
 Every file a subcommand writes for the demo config is pinned by its sha256,
 so any change to report content, number formatting or file naming fails
-here. A run that asks for one format (``--formats json``, ``csv`` or
-``markdown``) must write only that file, with the same bytes as the full run.
+here. Each JSON report must first be the stdlib's ``indent=2``, ``sort_keys``
+dump of what it holds, so a digest that moves for a layout fault says so. A
+run that asks for one format (``--formats json``, ``csv`` or ``markdown``)
+must write only that file, with the same bytes as the full run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -67,6 +70,10 @@ def run_demo(argv, out, *extra) -> dict[str, bytes]:
 def test_demo_report_bytes_are_pinned(tmp_path, run):
     argv, digests = GOLDEN[run]
     files = run_demo(argv, tmp_path / "out")
+    for name, data in files.items():
+        if name.endswith(".json"):
+            text = data.decode("utf-8")
+            assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, name
     assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == digests
 
 

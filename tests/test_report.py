@@ -266,9 +266,12 @@ class TestEncoderMatchesStdlib:
         assert _markdown(table) == stdlib_markdown(headers, rows)
 
     def test_nested_table_and_empty_containers(self):
-        payload = {"a": [{"t": table_of(("y", "x"), [[1.23456, "q"]])}], "b": [], "c": {}, "d": ()}
-        expected = {"a": [{"t": [{"y": 1.23456, "x": "q"}]}], "b": [], "c": {}, "d": []}
+        payload = {"a": [{}], "b": [], "c": {}, "d": (), "e": table_of(("y",), [])}
+        expected = {"a": [{}], "b": [], "c": {}, "d": [], "e": []}
         assert render_json(payload) == stdlib_json(expected)
+        # a table is a value of the report object only, never nested deeper
+        with pytest.raises(TypeError):
+            render_json({"a": [{"t": table_of(("y", "x"), [[1.23456, "q"]])}]})
 
     def test_unserializable_value_raises_type_error(self):
         with pytest.raises(TypeError):

@@ -41,10 +41,7 @@ class CarbonParams:
     HLS synthesis); only the runtime energy rate has no default because it is
     derived, usually via :func:`calibrate_e_use`. Sweeps override the
     lifetime per scenario, so the 15-year default only matters when no sweep
-    is involved.
-
-    ``prototype`` permits n_vol == 0 (development-only scenarios where the
-    runtime term vanishes and only app_dev_carbon remains).
+    is involved. With no units deployed only :func:`app_dev_carbon` remains.
     """
 
     e_use_per_hour_kwh: float
@@ -56,10 +53,9 @@ class CarbonParams:
     rtl_synth_hours: float = 2.5
     hls_synth_hours: float = 1.0
     config_hours: float = 0.0
-    prototype: bool = False
 
     def __post_init__(self) -> None:
-        _require_number(self.n_vol, _INT, 0 if self.prototype else 1, False, None, "n_vol")
+        _require_number(self.n_vol, _INT, 1, False, None, "n_vol")
         _require_number(self.cpu_cores, _INT, 1, False, None, "cpu_cores")
         for fname in ("lifetime_hours", "grid_intensity", "e_use_per_hour_kwh",
                       "cpu_power_per_core_w"):
@@ -103,20 +99,18 @@ class SweepSpec:
                         "carbon sweep fixed_lifetime_for_volume_sweep_years")
 
     @cached_property
-    def _grid(self) -> tuple[tuple[Scenario, ...], list[float], float, list[int]]:
-        """The cell keys in sweep order, each lifetime in hours and each
-        volume in that order, and the volume sweep's lifetime in hours: worked
-        out by the first :func:`sweep` of this spec, which raises if a
-        lifetime in hours is not finite, and shared by every later one."""
-        lifetimes = sorted(map(float, self.lifetimes_years))
-        volumes = sorted(map(int, self.volumes))
+    def _grid(self) -> dict[Scenario, tuple[int | None, float]]:
+        """Each cell key in sweep order: its volume (None: the base volume) and lifetime in
+        hours. Worked out by the first :func:`sweep` of this spec, which raises if a lifetime
+        in hours is not finite, and shared by every later one."""
         what = "carbon sweep lifetimes_years in hours"
-        lifetime_hours = [_require_finite(years * HOURS_PER_YEAR, what) for years in lifetimes]
+        grid = {Scenario("lifetime_years", y): (None, _require_finite(y * HOURS_PER_YEAR, what))
+                for y in sorted(map(float, self.lifetimes_years))}
         fixed_hours = _require_finite(self.fixed_lifetime_for_volume_sweep_years * HOURS_PER_YEAR,
                                       "carbon sweep fixed_lifetime_for_volume_sweep_years in hours")
-        keys = (*(Scenario("lifetime_years", years) for years in lifetimes),
-                *(Scenario("volume", float(volume)) for volume in volumes))
-        return keys, lifetime_hours, fixed_hours, volumes
+        grid.update((Scenario("volume", float(volume)), (volume, fixed_hours))
+                    for volume in sorted(map(int, self.volumes)))
+        return grid
 
 
 @dataclass(frozen=True)
@@ -179,11 +173,8 @@ def calibrate_e_use(anchor_cfp: float, params: CarbonParams) -> float:
     reproduces ``anchor_cfp`` exactly.
 
     The rate field of ``params`` is ignored (that is the unknown). The anchor
-    must exceed the fixed app-dev floor, the runtime term needs a real
-    deployment (n_vol >= 1), and the rate must be a finite number > 0.
+    must exceed the fixed app-dev floor, and the rate must be a finite number > 0.
     """
-    if params.n_vol < 1:
-        raise ValidationError("calibration requires n_vol >= 1")
     floor = app_dev_carbon(params)
     if not anchor_cfp > floor:
         raise ValidationError(
@@ -219,11 +210,9 @@ def sweep(spec: SweepSpec, base: CarbonParams, design_id: str, platform: str) ->
     cell keys and lifetimes in hours are worked out once per spec, not once
     per design and platform.
     """
-    keys, lifetime_hours, fixed_hours, volumes = spec._grid
     app_dev = app_dev_carbon(base)
-    values = [_runtime_carbon(base, base.n_vol, hours) + app_dev for hours in lifetime_hours]
-    values += [_runtime_carbon(base, volume, fixed_hours) + app_dev for volume in volumes]
-    cells = dict(zip(keys, values))
+    cells = {scenario: _runtime_carbon(base, base.n_vol if volume is None else volume, hours)
+             + app_dev for scenario, (volume, hours) in spec._grid.items()}
     _finite(cells, f"carbon of design {design_id!r} on {platform}")
     return CarbonReport(design_id=design_id, platform=platform, cells=cells)
 
@@ -274,7 +263,7 @@ def run_section(section: Mapping[str, Any]) -> tuple[
                                        0, True, None, "carbon anchor_lifetime_years in hours"),
         e_use_per_hour_kwh=1.0,  # placeholder; replaced by calibration
         **_check_keys(section["base"], [f for f in _fields_of(CarbonParams)[0] if f not in (
-            "e_use_per_hour_kwh", "lifetime_hours", "prototype")], "carbon base"),  # not base keys
+            "e_use_per_hour_kwh", "lifetime_hours")], "carbon base"),  # not base keys
     )
     sweep_raw = section["sweep"]
     spec = SweepSpec(tuple(sweep_raw["lifetimes_years"]), tuple(sweep_raw["volumes"]),
@@ -305,7 +294,7 @@ def run_section(section: Mapping[str, Any]) -> tuple[
     designs = section["reduction_designs"]
     designs = sorted(comparisons) if designs is None else designs
     scenario = Scenario(**section["reduction_scenario"])
-    if scenario not in spec._grid[0]:  # the cell keys, which every report holds
+    if scenario not in spec._grid:  # the cell keys, which every report holds
         raise ValidationError(f"carbon reduction_scenario {scenario.kind} {scenario.value} "
                               "is not a cell of the sweep grid")
     mean = mean_reduction_at(comparisons, scenario, designs) if designs else None

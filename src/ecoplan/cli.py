@@ -27,8 +27,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import report as report_mod
 from .model import (
-    _REAL, PLATFORMS, ScoreWeights, ValidationError, _check_keys, _read_json_object,
-    _require_finite, _require_number, _require_text, load_dataset, weights_from_dict,
+    _REAL, PLATFORMS, ScoreWeights, ValidationError, _check_keys, _from_dict, _read_json_object,
+    _require_finite, _require_number, _require_text, load_dataset,
 )
 
 CONFIG_SCHEMA_VERSION = "1"
@@ -141,10 +141,10 @@ def load_config(path: str | Path) -> RunConfig:
     base_dir = Path(path).parent  # an absolute path joined to it stays as it is
     return RunConfig(
         dataset_path=base_dir / raw["dataset"],
-        weights=weights_from_dict(raw["weights"]),
+        weights=_from_dict(ScoreWeights, raw["weights"], "weights"),
         normalize_piracy=raw["normalize_piracy"],
         output_dir=base_dir / raw["output_dir"],
-        formats=report_mod.check_formats(tuple(raw["formats"])),
+        formats=report_mod.check_formats(raw["formats"], f"{path}: formats"),
         fabric_capacity=(raw["fabric_budget"] or {}).get("capacity"),
         partition_method=raw["partition_method"],
         temperature_c=(raw["aging"] or {}).pop("temperature_c", None),  # moved out of aging
@@ -205,7 +205,8 @@ def cmd_aging(config: RunConfig) -> dict[str, str]:
 # Each flag but --config: the RunConfig field it replaces, its check, and its argparse options.
 _FLAGS: dict[str, tuple[str, Callable[[Any], Any], dict[str, Any]]] = {
     "--out": ("output_dir", Path, {"help": "output directory (overrides config output_dir)"}),
-    "--formats": ("formats", lambda text: report_mod.check_formats(tuple(text.split(","))),
+    "--formats": ("formats", lambda text: report_mod.check_formats(
+        [_require_text(entry, "--formats entry") for entry in text.split(",")], "--formats"),
                   {"help": "comma-separated subset of json,csv,markdown (overrides config)"}),
     "--method": ("partition_method", str,
                  {"choices": ("greedy", "exact"), "help": "planner to use"}),

@@ -430,8 +430,3 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         json.dumps(dataset_to_dict(dataset), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def weights_from_dict(raw: Mapping[str, Any]) -> ScoreWeights:
-    """ScoreWeights from a mapping with exactly the seven keys."""
-    return _from_dict(ScoreWeights, raw, "weights")

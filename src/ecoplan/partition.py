@@ -142,18 +142,17 @@ def plan_exact(
 def validate_plan(plan: PartitionPlan, dataset: Dataset, budget: FabricBudget) -> None:
     """Confirm every plan invariant; raise ValidationError with a diagnostic.
 
-    Checks coverage (disjoint sets covering the dataset), capacity
-    (used_area <= capacity), and accounting (used_area equals the recomputed
-    fabric area).
+    Checks coverage (disjoint sets covering the dataset), capacity (the fabric
+    IP areas fit the capacity, compared exactly as the planners compare them),
+    and accounting (used_area is exactly the ``math.fsum`` of those areas).
     """
     # asic ids sorted: an IP in both partitions is named the same on every run
     _require_cover([*plan.efpga_ips, *sorted(plan.asic_ips)], dataset, "the partitions")
-    if plan.used_area > budget.capacity:
-        raise ValidationError(
-            f"capacity error: used_area {plan.used_area} exceeds capacity {budget.capacity}"
-        )
-    recomputed = math.fsum(ip.area for ip in dataset.ips if ip.id in plan.efpga_ips)
-    if abs(plan.used_area - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
-        raise ValidationError(
-            f"accounting error: used_area {plan.used_area} != sum of fabric IP areas {recomputed}"
-        )
+    areas = [ip.area for ip in dataset.ips if ip.id in plan.efpga_ips]
+    *scaled, capacity = _scaled([*areas, budget.capacity])
+    if sum(scaled) > capacity:
+        raise ValidationError("capacity error: the fabric IP areas exceed capacity "
+                              f"{budget.capacity} (used_area {plan.used_area})")
+    if plan.used_area != math.fsum(areas):
+        raise ValidationError(f"accounting error: used_area {plan.used_area} != sum of fabric "
+                              f"IP areas {math.fsum(areas)}")

@@ -24,7 +24,8 @@ join of a flat list filled a column at a time.
 A CSV table whose cells need no quoting is its rows joined by commas, which
 is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
-interpreter's ``csv`` module.
+interpreter's ``csv`` module. A markdown table writes a cell's ``|`` as ``\\|``
+and its line break as ``<br>``; one whose text holds neither is its rows joined.
 
 A JSON report is ``json.dumps(report, indent=2, sort_keys=True)`` of its
 content with every float rounded to report precision; a non-string key raises
@@ -44,9 +45,9 @@ from dataclasses import dataclass
 from itertools import count, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
-from .model import PLATFORMS, Dataset, ValidationError, _mean
+from .model import PLATFORMS, Dataset, ValidationError, _fields_of, _mean
 
 if TYPE_CHECKING:  # annotations only; each subcommand imports the layers it runs
     from .aging import RemapPlan, SlackCurve
@@ -215,20 +216,35 @@ def _csv(table: _Table) -> str:
     return buf.getvalue()
 
 
+def _markdown_cell(text: str) -> str:
+    return text.replace("|", "\\|").replace("\r\n", "\n").replace("\r", "\n").replace("\n", "<br>")
+
+
+def _pipe_table(headers: Sequence[str], rows: Iterator[Iterable[str]], size: int) -> str:
+    text = "| " + " | ".join(headers) + " |\n|" + "|".join(["---"] * len(headers)) + "|\n"
+    return text + "| " + " |\n| ".join(map(" | ".join, rows)) + " |\n" if size else text
+
+
 def _markdown(table: _Table) -> str:
-    head = "| " + " | ".join(table.headers) + " |\n|" + "|".join("---" for _ in table.headers)
-    if not table.size:
-        return head + "|\n"
-    return head + "|\n| " + " |\n| ".join(map(" | ".join, table.text_rows())) + " |\n"
+    """A pipe table, its cells through ``_markdown_cell`` only where the counts
+    of ``|`` and line feeds show that a cell holds either."""
+    text = _pipe_table(table.headers, table.text_rows(), table.size)
+    lines = table.size + 2  # the header and delimiter lines too
+    if text.count("|") != lines * (len(table.headers) + 1) or text.count("\n") != lines or (
+            "\r" in text):
+        text = _pipe_table([*map(_markdown_cell, table.headers)],
+                           (map(_markdown_cell, row) for row in table.text_rows()), table.size)
+    return text
 
 
-def check_formats(formats: Sequence[str]) -> tuple[str, ...]:
+def check_formats(formats: Sequence[str], what: str) -> tuple[str, ...]:
+    """``formats`` in FORMATS order, each once; ``what`` names their source in an error."""
     if not formats:
-        raise ValidationError("at least one output format is required")
+        raise ValidationError(f"{what}: at least one output format is required")
     unknown = set(formats) - set(FORMATS)
     if unknown:
         raise ValidationError(
-            f"unknown format(s): {', '.join(sorted(unknown))} (choose from {FORMATS})"
+            f"{what}: unknown format(s): {', '.join(sorted(unknown))} (choose from {FORMATS})"
         )
     # preserve canonical order, drop duplicates
     return tuple(f for f in FORMATS if f in set(formats))
@@ -293,17 +309,15 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
 
 # --- score report -----------------------------------------------------------
 
-_SCORE_FIELDS = (  # of a ScoreCard, in column order
-    "ip_id", "adaptability", "piracy_threat", "performance_tolerance", "resource_fit",
-    "composite", "normalized", "exposure", "redaction_ratio",
-)
-_SCORE_HEADERS = ("rank", "design", *_SCORE_FIELDS[1:])
 
 
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
+    from .scoring import ScoreCard  # loaded already: the cards come from it
+
+    names = _fields_of(ScoreCard)[0]  # ip_id first, shown as the design
     columns = [list(range(1, len(cards) + 1))]
-    columns += ([getattr(card, name) for card in cards] for name in _SCORE_FIELDS)
-    table = _Table(_SCORE_HEADERS, columns)
+    columns += ([getattr(card, name) for card in cards] for name in names)
+    table = _Table(("rank", "design", *names[1:]), columns)
     return _render("score", formats, {"cards": table}, table, [table[1:8]])
 
 

@@ -75,12 +75,8 @@ class TestAppDevCarbon:
 
 
 class TestDeployCarbon:
-    def test_prototype_volume_leaves_only_app_dev(self):
-        p = replace(TABLE_PARAMS, n_vol=0, prototype=True)
-        assert deploy_carbon(p) == app_dev_carbon(p)
-
-    def test_zero_volume_requires_prototype_flag(self):
-        with pytest.raises(ValidationError, match="n_vol"):
+    def test_zero_volume_rejected(self):
+        with pytest.raises(ValidationError, match="^n_vol must be >= 1$"):
             replace(TABLE_PARAMS, n_vol=0)
 
     def test_halving_lifetime_halves_runtime_term(self):
@@ -297,9 +293,6 @@ ONE_YEAR = Scenario("lifetime_years", 1.0)
 COMPARISONS = {"d1": CarbonComparison("d1", {ONE_YEAR: 0.5}, 0.5)}
 GUARDS = [
     # (call, exception type, exact message)
-    pytest.param(lambda: calibrate_e_use(1.0, CarbonParams(e_use_per_hour_kwh=1.0, n_vol=0,
-                                                            prototype=True)),
-                 ValidationError, "calibration requires n_vol >= 1", id="calibrate-no-volume"),
     pytest.param(lambda: compare(CarbonReport("d1", "ecologic", {ONE_YEAR: 1.0}),
                                  CarbonReport("d1", "fpga", {ONE_YEAR: 0.0})),
                  ValidationError,

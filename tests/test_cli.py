@@ -719,6 +719,11 @@ class TestConfigStrictness:
              "no fabric capacity given (config fabric_budget or --capacity)"),
             ("aging --temperature nan", None, "--temperature must be finite, got nan"),
             ("aging --temperature inf", None, "--temperature must be finite, got inf"),
+            ("score --formats json,,csv", None,
+             "error: --formats entry must be a non-empty string, got ''"),
+            ("score --formats json,xml", None, "error: --formats: unknown format(s): xml"),
+            ("score", lambda raw: raw.update(formats=[]),
+             "config.json: formats: at least one output format is required"),
         ],
         ids=["scenario-no-kind", "region-no-health_factor", "block-no-size",
              "anchor-not-object", "curves-as-list", "anchor-null", "anchor-lifetime-null",
@@ -752,7 +757,8 @@ class TestConfigStrictness:
              "format-empty", "dataset-surrogate", "reduction-design-nul-read-by-score",
              "app-dev-nan", "app-dev-infinite", "calibration-denominator-overflow",
              "calibration-denominator-underflow", "capacity-missing-before-dataset-load",
-             "temperature-flag-nan", "temperature-flag-inf"],
+             "temperature-flag-nan", "temperature-flag-inf", "format-flag-entry-empty",
+             "format-unknown-flag-named", "formats-empty-named"],
     )
     def test_malformed_section_is_validation_error(
         self, write_config, tmp_path, capsys, command, mutate, section

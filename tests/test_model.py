@@ -23,7 +23,6 @@ from ecoplan.model import (
     load_dataset,
     save_dataset,
     validate_weights,
-    weights_from_dict,
 )
 from ecoplan.scoring import score_dataset
 
@@ -269,13 +268,12 @@ class TestWeights:
             replace(ScoreWeights.default(), beta=-0.1)
 
     def test_weights_from_dict_strict(self):
-        with pytest.raises(ValidationError, match="unknown key"):
-            weights_from_dict(
-                {"alpha": 0.25, "beta": 0.35, "gamma": 0.2, "delta": 0.2,
-                 "mu": 0.5, "nu": 0.3, "xi": 0.2, "omega": 0.1}
-            )
-        with pytest.raises(ValidationError, match="missing key"):
-            weights_from_dict({"alpha": 1.0})
+        with pytest.raises(ValidationError, match="weights: unknown key"):
+            model._from_dict(ScoreWeights, {"alpha": 0.25, "beta": 0.35, "gamma": 0.2,
+                                            "delta": 0.2, "mu": 0.5, "nu": 0.3, "xi": 0.2,
+                                            "omega": 0.1}, "weights")
+        with pytest.raises(ValidationError, match="weights: missing key"):
+            model._from_dict(ScoreWeights, {"alpha": 1.0}, "weights")
 
 
 class TestDatasetLoading:

@@ -13,6 +13,7 @@ from ecoplan.model import Dataset, IpProfile, ValidationError
 from ecoplan.partition import (
     EXACT_SIZE_LIMIT,
     FabricBudget,
+    PartitionPlan,
     plan_exact,
     plan_greedy,
     validate_plan,
@@ -265,6 +266,31 @@ class TestValidatePlan:
         plan = plan_greedy(cards, six_ip_dataset, budget)
         with pytest.raises(ValidationError, match="capacity error"):
             validate_plan(plan, six_ip_dataset, FabricBudget(plan.used_area / 2))
+
+    def test_areas_over_capacity_by_less_than_a_rounding_rejected(self):
+        # the float sum 1.0 + 1e-17 rounds to 1.0, but the exact sum exceeds the capacity
+        cards, dataset = make_instance([1.0, 1e-17], [0.5, 0.5])
+        plan = PartitionPlan(frozenset(dataset.ip_ids), frozenset(), 1.0, 1.0, "greedy")
+        for planner in (plan_greedy, plan_exact):  # each admits only one of the two
+            assert len(planner(cards, dataset, FabricBudget(1.0)).efpga_ips) == 1
+        with pytest.raises(ValidationError, match="^capacity error: the fabric IP areas exceed "
+                                                  "capacity 1.0 [(]used_area 1.0[)]$"):
+            validate_plan(plan, dataset, FabricBudget(1.0))
+
+    def test_used_area_off_by_a_rounding_rejected(self):
+        _, dataset = make_instance([1.0], [0.5])
+        plan = PartitionPlan(frozenset({"ip00"}), frozenset(), 1.0 - 1e-12, 0.5, "greedy")
+        with pytest.raises(ValidationError, match="^accounting error: used_area 0.999999999999 "
+                                                  "!= sum of fabric IP areas 1.0$"):
+            validate_plan(plan, dataset, FabricBudget(1.0))
+
+    def test_exactly_full_fabric_validates(self):
+        cards, dataset = make_instance([0.5, 0.25, 0.25], [0.5, 0.5, 0.5])
+        budget = FabricBudget(1.0)
+        for planner in (plan_greedy, plan_exact):
+            plan = planner(cards, dataset, budget)
+            assert plan.efpga_ips == set(dataset.ip_ids) and plan.used_area == 1.0
+            validate_plan(plan, dataset, budget)
 
 
 def test_readme_library_example_runs():

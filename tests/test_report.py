@@ -6,23 +6,34 @@ import json
 import math
 import os
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecoplan.model import Dataset, IpProfile, ValidationError
+from ecoplan.aging import RemapPlan, SlackCurve
+from ecoplan.carbon import CarbonParams, SweepSpec, sweep
+from ecoplan.carbon import compare as compare_carbon
+from ecoplan.model import Dataset, IpProfile, ScoreWeights, ValidationError
+from ecoplan.partition import FabricBudget, plan_greedy
 from ecoplan.report import (
     _csv,
     _markdown,
     _Table,
+    aging_report_files,
+    carbon_report_files,
     check_formats,
     fmt,
+    partition_report_files,
     platform_comparison,
     render_json,
     round4,
+    score_report_files,
     write_outputs,
 )
+from ecoplan.scoring import score_dataset
 
 
 def table_of(headers, rows) -> _Table:
@@ -97,13 +108,70 @@ class TestFormatting:
         assert _csv(table_of(headers, rows)) == "a,b\n1.235,x\n"
         table = _markdown(table_of(headers, rows))
         assert table.splitlines()[2] == "| 1.235 | x |"
+        # a markdown cell's "|" is escaped and each CR LF, CR or LF becomes <br>
+        table = table_of(("a|b", "c"), [["x|y", "1\r\n2\r3\n4"], ["\\|", "plain"]])
+        assert _markdown(table) == (
+            "| a\\|b | c |\n|---|---|\n| x\\|y | 1<br>2<br>3<br>4 |\n| \\\\| | plain |\n"
+        )
+        assert _csv(table) == 'a|b,c\nx|y,"1\r\n2\r3\n4"\n\\|,plain\n'
 
     def test_check_formats(self):
-        assert check_formats(("markdown", "json")) == ("json", "markdown")
-        with pytest.raises(ValidationError):
-            check_formats(())
-        with pytest.raises(ValidationError):
-            check_formats(("pdf",))
+        assert check_formats(("markdown", "json"), "formats") == ("json", "markdown")
+        with pytest.raises(ValidationError, match="^f: at least one output format is required$"):
+            check_formats((), "f")
+        with pytest.raises(ValidationError, match="^--formats: unknown format[(]s[)]: pdf "):
+            check_formats(("pdf",), "--formats")
+
+
+ODD_IDS = ("a|b", "line\nbreak", "cr\ronly", "crlf\r\nend", "plain")
+
+
+def unescaped_separators(line: str) -> int:
+    return len(re.findall(r"(?<!\\)\|", line))
+
+
+def assert_table_shapes(markdown: str) -> None:
+    """Every line of each pipe table has its header line's count of unescaped separators."""
+    assert "\r" not in markdown
+    for block in markdown.split("\n\n"):
+        lines = block.strip("\n").split("\n")
+        if lines[0].startswith("| "):
+            assert lines[1].startswith("|---")
+            width = unescaped_separators(lines[0])
+            assert [unescaped_separators(line) for line in lines] == [width] * len(lines), block
+
+
+class TestMarkdownCells:
+    """Ids, designs, blocks, regions and curve names may hold ``|`` and line breaks."""
+
+    def odd_dataset(self) -> Dataset:
+        ips = [replace(ip_with_metrics(ip_id, 10.0, 5.0, 100.0), area=float(k + 1))
+               for k, ip_id in enumerate(ODD_IDS)]
+        return Dataset(ips=tuple(ips), area_unit="gate_eq")
+
+    def test_score_and_partition_tables_keep_their_shape(self):
+        dataset = self.odd_dataset()
+        cards = score_dataset(dataset, ScoreWeights.default())
+        score_md = score_report_files(cards, ["markdown"])["score.md"]
+        plan = plan_greedy(cards, dataset, FabricBudget(6.0))
+        partition_md = partition_report_files(plan, FabricBudget(6.0), ["markdown"])
+        for markdown in (score_md, partition_md["partition.md"]):
+            assert_table_shapes(markdown)
+            assert "a\\|b" in markdown and "line<br>break" in markdown
+            assert "cr<br>only" in markdown and "crlf<br>end" in markdown
+
+    def test_carbon_and_aging_tables_keep_their_shape(self):
+        spec = SweepSpec((1.0,), (1000,), 1.0)
+        reports = [sweep(spec, CarbonParams(e_use_per_hour_kwh=rate), "d|1", platform)
+                   for platform, rate in (("ecologic", 1e-6), ("fpga", 2e-6))]
+        comparisons = {"d|1": compare_carbon(*reports)}
+        carbon = carbon_report_files(reports, comparisons, 0.5, ["d|1"], ["markdown"])
+        curves = [SlackCurve("p|q\n", ((25.0, 1.0), (140.0, 2.0)))]
+        plan = RemapPlan({"b|1": "r\n2", "b2": "r|3"}, 1.0, 2.0)
+        aging = aging_report_files(curves, {"p|q\n": 1.5}, 60.0, plan, ["markdown"])
+        for markdown in (carbon["carbon.md"], aging["aging.md"]):
+            assert_table_shapes(markdown)
+        assert "| p\\|q<br> | 60 | 1.5 |" in aging["aging.md"]
 
 
 class TestWriteOutputs:
@@ -181,14 +249,20 @@ def outcome(render, *args):
         return type(error), str(error)
 
 
+def md_cell(text: str) -> str:
+    """A pipe-table cell: ``|`` escaped, each CR LF, CR or LF line break as ``<br>``."""
+    return re.sub(r"\r\n|\r|\n", "<br>", text.replace("|", r"\|"))
+
+
 def stdlib_markdown(headers, rows) -> str:
-    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
-    lines += ["| " + " | ".join(fmt(cell) for cell in row) + " |" for row in rows]
+    lines = ["| " + " | ".join(map(md_cell, headers)) + " |",
+             "|" + "|".join("---" for _ in headers) + "|"]
+    lines += ["| " + " | ".join(md_cell(fmt(cell)) for cell in row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
 awkward_text = st.text(
-    alphabet=st.one_of(st.characters(), st.sampled_from('"\\{}[],:%\n\t\x00\u00e9\u2028\U0001f600')),
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\{}[],:%|\n\r\t\x00\u00e9\u2028\U0001f600')),
     max_size=8,
 )
 edge_floats = st.sampled_from([
@@ -239,7 +313,7 @@ class TestEncoderMatchesStdlib:
             headers[lo:hi], [row[lo:hi] for row in rows]
         )
 
-    @pytest.mark.parametrize("special", [None, ",", '"'])
+    @pytest.mark.parametrize("special", [None, ",", '"', "|", "\n"])
     def test_large_table_matches_the_stdlib(self, special):
         # sizes the hypothesis tables never reach: exponent forms, non-finite
         # floats, heavily repeated strings and floats, and a cell to quote

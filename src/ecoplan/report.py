@@ -25,7 +25,7 @@ A CSV table whose cells need no quoting is its rows joined by commas, which
 is what the stdlib ``csv`` writer writes for it; any other table is written
 by that writer, imported only then, so quoting follows the running
 interpreter's ``csv`` module. A markdown table writes a cell's ``|`` as ``\\|``
-and its line break as ``<br>``; one whose text holds neither is its rows joined.
+and its line break as ``<br>``, as does the carbon report's list of designs.
 
 A JSON report is ``json.dumps(report, indent=2, sort_keys=True)`` of its
 content with every float rounded to report precision; a non-string key raises
@@ -226,15 +226,9 @@ def _pipe_table(headers: Sequence[str], rows: Iterator[Iterable[str]], size: int
 
 
 def _markdown(table: _Table) -> str:
-    """A pipe table, its cells through ``_markdown_cell`` only where the counts
-    of ``|`` and line feeds show that a cell holds either."""
-    text = _pipe_table(table.headers, table.text_rows(), table.size)
-    lines = table.size + 2  # the header and delimiter lines too
-    if text.count("|") != lines * (len(table.headers) + 1) or text.count("\n") != lines or (
-            "\r" in text):
-        text = _pipe_table([*map(_markdown_cell, table.headers)],
-                           (map(_markdown_cell, row) for row in table.text_rows()), table.size)
-    return text
+    """A pipe table, each cell through ``_markdown_cell``."""
+    rows = (map(_markdown_cell, row) for row in table.text_rows())
+    return _pipe_table([*map(_markdown_cell, table.headers)], rows, table.size)
 
 
 def check_formats(formats: Sequence[str], what: str) -> tuple[str, ...]:
@@ -308,7 +302,6 @@ def write_outputs(out_dir: str | Path, files: Mapping[str, str]) -> list[Path]:
 
 
 # --- score report -----------------------------------------------------------
-
 
 
 def score_report_files(cards: Sequence[ScoreCard], formats: Sequence[str]) -> dict[str, str]:
@@ -385,7 +378,8 @@ def carbon_report_files(
         markdown += ["\n", _Table(("design", "mean_reduction_vs_fpga"), [designs, reductions])]
     if mean_reduction is not None:
         markdown.append(
-            f"\nmean reduction over {', '.join(reduction_designs)}: {fmt(mean_reduction)}\n"
+            f"\nmean reduction over {_markdown_cell(', '.join(reduction_designs))}: "
+            f"{fmt(mean_reduction)}\n"
         )
     return _render("carbon", formats, payload, table, markdown)
 

@@ -162,16 +162,19 @@ class TestMarkdownCells:
 
     def test_carbon_and_aging_tables_keep_their_shape(self):
         spec = SweepSpec((1.0,), (1000,), 1.0)
-        reports = [sweep(spec, CarbonParams(e_use_per_hour_kwh=rate), "d|1", platform)
+        design = "d|1\n| fake | row |"
+        reports = [sweep(spec, CarbonParams(e_use_per_hour_kwh=rate), design, platform)
                    for platform, rate in (("ecologic", 1e-6), ("fpga", 2e-6))]
-        comparisons = {"d|1": compare_carbon(*reports)}
-        carbon = carbon_report_files(reports, comparisons, 0.5, ["d|1"], ["markdown"])
+        comparisons = {design: compare_carbon(*reports)}
+        carbon = carbon_report_files(reports, comparisons, 0.5, [design], ["markdown"])
         curves = [SlackCurve("p|q\n", ((25.0, 1.0), (140.0, 2.0)))]
         plan = RemapPlan({"b|1": "r\n2", "b2": "r|3"}, 1.0, 2.0)
         aging = aging_report_files(curves, {"p|q\n": 1.5}, 60.0, plan, ["markdown"])
         for markdown in (carbon["carbon.md"], aging["aging.md"]):
             assert_table_shapes(markdown)
         assert "| p\\|q<br> | 60 | 1.5 |" in aging["aging.md"]
+        assert carbon["carbon.md"].endswith(
+            "\n\nmean reduction over d\\|1<br>\\| fake \\| row \\|: 0.5\n")
 
 
 class TestWriteOutputs:
